@@ -337,16 +337,8 @@ PutLat timedPutStage(OakAdapter& a, const BenchConfig& cfg, std::size_t total) {
   for (unsigned t = 0; t < nThreads; ++t) threads.emplace_back(worker, t);
   start.store(true, std::memory_order_release);
   for (auto& th : threads) th.join();
-  std::vector<double> all;
-  for (auto& v : ns) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  PutLat r;
-  r.ops = all.size();
-  if (!all.empty()) {
-    r.p50Ns = all[all.size() / 2];
-    r.p99Ns = all[std::min(all.size() - 1, all.size() * 99 / 100)];
-  }
-  return r;
+  const ExactPercentiles pct = exactPercentiles(ns);
+  return PutLat{pct.p50, pct.p99, pct.samples};
 }
 
 int runRecovery(const Options& o) {
@@ -580,7 +572,6 @@ class CompactionRun {
   // ops is warm-up: evacuation flushed the size-class magazines, and the
   // refill transient is not the cost the gate is after.
   PutLat stageRep(int rep) {
-    PutLat put;
     const unsigned nThreads = cfg_.threads == 0 ? 1 : cfg_.threads;
     const std::uint64_t opsPerThread = 4 * cfg_.keyRange / nThreads;
     std::vector<std::vector<double>> ns(nThreads);
@@ -625,17 +616,9 @@ class CompactionRun {
     for (unsigned t = 0; t < nThreads; ++t) threads.emplace_back(mutator, t);
     start.store(true, std::memory_order_release);
     for (auto& th : threads) th.join();
-    std::vector<double> sampleNs;
-    for (auto& v : ns) sampleNs.insert(sampleNs.end(), v.begin(), v.end());
-    std::sort(sampleNs.begin(), sampleNs.end());
-    put.ops = sampleNs.size();
-    if (!sampleNs.empty()) {
-      put.p50Ns = sampleNs[sampleNs.size() / 2];
-      put.p99Ns =
-          sampleNs[std::min(sampleNs.size() - 1, sampleNs.size() * 99 / 100)];
-    }
+    const ExactPercentiles pct = exactPercentiles(ns);
     drain(true);
-    return put;
+    return PutLat{pct.p50, pct.p99, pct.samples};
   }
 
   // Leg B catches up at quiescent points — the off-hot-path slot the

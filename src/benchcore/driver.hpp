@@ -100,6 +100,29 @@ obs::Metrics snapshotMetrics(Adapter& a) {
   }
 }
 
+/// Exact latency percentiles over every thread's samples — the one
+/// percentile path of the bench harness (its histograms are bucketed).
+struct ExactPercentiles {
+  std::size_t samples = 0;
+  double p50 = 0;
+  double p99 = 0;
+};
+
+/// Pools and sorts the per-thread samples, then reads p50 = v[n/2] and
+/// p99 = v[min(n-1, n*99/100)]; all zero when there are none.
+inline ExactPercentiles exactPercentiles(const std::vector<std::vector<double>>& perThread) {
+  std::vector<double> all;
+  for (const auto& v : perThread) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end());
+  ExactPercentiles r;
+  r.samples = all.size();
+  if (!all.empty()) {
+    r.p50 = all[all.size() / 2];
+    r.p99 = all[std::min(all.size() - 1, all.size() * 99 / 100)];
+  }
+  return r;
+}
+
 inline double nowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -268,16 +291,10 @@ PointResult sustainedStage(Adapter& a, const BenchConfig& cfg, const Mix& mix) {
   const double dt = nowSeconds() - t0;
 
   res.kops = static_cast<double>(totalOps.load()) / dt / 1e3;
-  {
-    std::vector<double> all;
-    for (auto& v : snapNs) all.insert(all.end(), v.begin(), v.end());
-    if (!all.empty()) {
-      std::sort(all.begin(), all.end());
-      res.snapScans = all.size();
-      res.snapScanP50Ns = all[all.size() / 2];
-      res.snapScanP99Ns = all[std::min(all.size() - 1, all.size() * 99 / 100)];
-    }
-  }
+  const ExactPercentiles snap = exactPercentiles(snapNs);
+  res.snapScans = snap.samples;
+  res.snapScanP50Ns = snap.p50;
+  res.snapScanP99Ns = snap.p99;
   res.oom = oom.load();
   res.oomKind = static_cast<OomKind>(oomKind.load(std::memory_order_relaxed));
   res.gc = a.gcStats();

@@ -217,4 +217,42 @@ class MaintenanceService {
   std::vector<std::thread> workers_;
 };
 
+/// One kind of owner-side background job (version GC, evacuation,
+/// auto-checkpoint) kept to at most one queued instance by a flag the owner
+/// holds.  The service's own (owner, key) dedupe is not enough: it also
+/// covers rebalance jobs, so a tag collision there must not strand the
+/// flag, and probing the flag keeps the hot path off the service mutex.
+class CoalescedJob {
+ public:
+  /// Runs `(owner->*Run)()`: queued on `svc` under key `{tag}` unless this
+  /// job (`owner->*Self`) is already queued, or inline when there is no
+  /// service or the queue rejects the submission.  The flag is cleared
+  /// before the job runs, so work arriving meanwhile queues a fresh job,
+  /// and again on rejection, so it cannot stick.  `owner` is the service
+  /// owner: its detach() cancels the job.
+  template <auto Self, auto Run, class Owner>
+  static void trigger(MaintenanceService* svc, Owner* owner, std::byte tag,
+                      std::size_t costBytes) {
+    if (svc == nullptr) {
+      (owner->*Run)();
+      return;
+    }
+    std::atomic<bool>& queued = (owner->*Self).queued_;
+    if (queued.exchange(true, std::memory_order_acq_rel)) return;
+    const bool accepted =
+        svc->submit(owner, ByteVec{tag}, costBytes, [](void* o, const ByteVec&) {
+          auto* self = static_cast<Owner*>(o);
+          (self->*Self).queued_.store(false, std::memory_order_release);
+          (self->*Run)();
+        });
+    if (!accepted) {
+      queued.store(false, std::memory_order_release);
+      (owner->*Run)();
+    }
+  }
+
+ private:
+  std::atomic<bool> queued_{false};
+};
+
 }  // namespace oak::maint

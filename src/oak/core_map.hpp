@@ -14,29 +14,25 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
 #include "common/checked.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/mutex.hpp"
 #include "common/spin.hpp"
-#include "dur/checkpoint.hpp"
-#include "dur/wal.hpp"
 #include "maint/maintenance.hpp"
 #include "mem/memory_manager.hpp"
 #include "mheap/managed_heap.hpp"
 #include "oak/buffer.hpp"
 #include "oak/chunk.hpp"
+#include "oak/config.hpp"
+#include "oak/durability.hpp"
 #include "oak/scan_options.hpp"
 #include "oak/serializer.hpp"
 #include "oak/snapshot.hpp"
@@ -46,185 +42,6 @@
 #include "sync/ebr.hpp"
 
 namespace oak {
-
-/// Memory knob group nested inside OakConfig.  Overridable fields are
-/// optionals so the deprecated flat OakConfig fields keep working: an unset
-/// optional defers to the flat field (then to the env/default rung where one
-/// exists).  All setters are fluent.
-struct MemConfig {
-  mheap::ManagedHeap* metaHeap = nullptr;  ///< on-heap metadata; default: unlimited
-  mem::BlockPool* pool = nullptr;          ///< off-heap arena pool; default: global
-  /// Value-header reclamation (§3.3): the paper's evaluated default keeps
-  /// headers immortal; Generational recycles them through a versioned pool.
-  std::optional<ValueReclaim> reclaim;
-  /// Bytes withheld from the arena as an emergency reserve for the
-  /// non-throwing tryPut/tryCompute degraded path (0 = no reserve).  See
-  /// DESIGN.md "Failure model & degraded operation" for sizing guidance.
-  std::optional<std::size_t> emergencyReserveBytes;
-  /// Size-class magazine layer for this instance's allocator.  Unset defers
-  /// to the OAK_MAGAZINES environment gate (default on).
-  std::optional<bool> magazines;
-  /// Background arena evacuation (slice relocation + compaction).  Unset
-  /// defers to the OAK_COMPACTION environment gate (default off — opt-in;
-  /// compactNow() always works regardless).
-  std::optional<bool> compaction;
-  /// Occupancy threshold for victim selection: an arena whose live bytes
-  /// are at or below this fraction of the block is evacuation-eligible.
-  /// Unset defers to OAK_COMPACTION_OCCUPANCY (percent), then 25%.
-  std::optional<double> compactionOccupancy;
-  /// Storage directory for durability (DESIGN.md §12).  Set → the map is
-  /// durable: file-backed arenas under <dir>/arenas, a WAL, checkpoints and
-  /// crash recovery in <dir>.  One map per directory.  Unset defers to
-  /// OAK_STORAGE_DIR; an explicit empty string disables durability even
-  /// when the environment variable is set.
-  std::optional<std::string> storageDir;
-
-  MemConfig& withMetaHeap(mheap::ManagedHeap* h) { metaHeap = h; return *this; }
-  MemConfig& withPool(mem::BlockPool* p) { pool = p; return *this; }
-  MemConfig& withReclaim(ValueReclaim r) { reclaim = r; return *this; }
-  MemConfig& withEmergencyReserve(std::size_t bytes) {
-    emergencyReserveBytes = bytes;
-    return *this;
-  }
-  MemConfig& withMagazines(bool on) { magazines = on; return *this; }
-  MemConfig& withCompaction(bool on) { compaction = on; return *this; }
-  MemConfig& withCompactionOccupancy(double frac) {
-    compactionOccupancy = frac;
-    return *this;
-  }
-  MemConfig& withStorageDir(std::string dir) {
-    storageDir = std::move(dir);
-    return *this;
-  }
-};
-
-/// Durability knob group nested inside OakConfig (active only when a
-/// storage directory is configured — see MemConfig::storageDir).
-struct DurConfig {
-  /// WAL fsync policy.  Unset defers to OAK_FSYNC_POLICY, then Interval.
-  std::optional<dur::FsyncPolicy> fsyncPolicy;
-  /// Interval policy's window: at most one fdatasync per this many ms.
-  std::uint32_t fsyncIntervalMs = 50;
-  /// WAL bytes that trigger an automatic checkpoint.  Unset defers to
-  /// OAK_WAL_BYTES, then 64 MiB.
-  std::optional<std::size_t> walBytes;
-
-  DurConfig& withFsyncPolicy(dur::FsyncPolicy p) { fsyncPolicy = p; return *this; }
-  DurConfig& withFsyncIntervalMs(std::uint32_t ms) { fsyncIntervalMs = ms; return *this; }
-  DurConfig& withWalBytes(std::size_t b) { walBytes = b; return *this; }
-};
-
-/// Map configuration: structure knobs at the top level, memory and
-/// maintenance grouped into nested configs, all composable through fluent
-/// setters:
-///
-///   auto cfg = OakConfig{}
-///                  .withChunkCapacity(256)
-///                  .withMem(MemConfig{}.withMetaHeap(&heap).withPool(&pool))
-///                  .withMaintenance(MaintenanceConfig{}.withThreads(2));
-///
-/// Every knob resolves with one precedence rule: explicit config > oak::env
-/// environment variable > compiled default (see common/env.hpp for the
-/// recognized variables).  The effective*() accessors below implement it.
-struct OakConfig {
-  std::int32_t chunkCapacity = 2048;    ///< paper: 4K entries per chunk
-  double maxUnsortedRatio = 0.5;        ///< rebalance when bypasses exceed this
-  std::size_t ephemeralViewBytes = 48;  ///< modelled size of a Java buffer view
-
-  /// Memory knobs (arena, managed heap, reclamation, magazines, storage).
-  MemConfig mem;
-  /// Durability knobs (WAL fsync policy, checkpoint trigger); only
-  /// meaningful when mem.storageDir (or OAK_STORAGE_DIR) is set.
-  DurConfig dur;
-  /// Background maintenance pool + online shard management thresholds
-  /// (maint/maintenance.hpp).  Default: no workers — rebalance runs inline
-  /// on the mutator, exactly the paper's (and the seed's) behavior.
-  maint::MaintenanceConfig maintenance;
-  /// Shared MVCC clock/pin table for snapshot scans (snapshot.hpp).  The
-  /// sharded map injects one domain into every shard so a merged cross-shard
-  /// scan pins a single version; a plain map left null owns a private one.
-  SnapshotDomain* snapshotDomain = nullptr;
-
-  // ---- DEPRECATED flat fields ------------------------------------------
-  // One release of grace for out-of-tree aggregate initializers: these keep
-  // compiling and behaving, but new code should set the nested MemConfig
-  // (the nested group wins when both are set).  Scheduled for removal.
-  mheap::ManagedHeap* metaHeap = nullptr;            ///< DEPRECATED → mem.metaHeap
-  mem::BlockPool* pool = nullptr;                    ///< DEPRECATED → mem.pool
-  ValueReclaim reclaim = ValueReclaim::KeepHeaders;  ///< DEPRECATED → mem.reclaim
-  std::size_t emergencyReserveBytes = 0;  ///< DEPRECATED → mem.emergencyReserveBytes
-
-  // ---- effective values (explicit > env > default) ---------------------
-  mheap::ManagedHeap* effectiveMetaHeap() const noexcept {
-    return mem.metaHeap != nullptr ? mem.metaHeap : metaHeap;
-  }
-  mem::BlockPool* effectivePool() const noexcept {
-    return mem.pool != nullptr ? mem.pool : pool;
-  }
-  ValueReclaim effectiveReclaim() const noexcept {
-    return mem.reclaim.value_or(reclaim);
-  }
-  std::size_t effectiveEmergencyReserve() const noexcept {
-    return mem.emergencyReserveBytes.value_or(emergencyReserveBytes);
-  }
-  bool effectiveMagazines() const noexcept {
-    if (mem.magazines.has_value()) return *mem.magazines;
-    return env::flag("OAK_MAGAZINES", true);
-  }
-  bool effectiveCompaction() const noexcept {
-    if (mem.compaction.has_value()) return *mem.compaction;
-    return env::flag("OAK_COMPACTION", false);
-  }
-  double effectiveCompactionOccupancy() const noexcept {
-    if (mem.compactionOccupancy.has_value()) return *mem.compactionOccupancy;
-    return static_cast<double>(env::u64("OAK_COMPACTION_OCCUPANCY", 25)) / 100.0;
-  }
-  /// Resolved storage directory; nullopt = in-memory map.  An explicitly
-  /// set empty string disables durability, overriding OAK_STORAGE_DIR.
-  std::optional<std::string> effectiveStorageDir() const {
-    if (mem.storageDir.has_value()) {
-      if (mem.storageDir->empty()) return std::nullopt;
-      return mem.storageDir;
-    }
-    auto e = env::str("OAK_STORAGE_DIR");
-    if (e.has_value() && !e->empty()) return e;
-    return std::nullopt;
-  }
-  dur::FsyncPolicy effectiveFsyncPolicy() const {
-    if (dur.fsyncPolicy.has_value()) return *dur.fsyncPolicy;
-    if (auto s = env::str("OAK_FSYNC_POLICY")) {
-      if (auto p = dur::parseFsyncPolicy(*s)) return *p;
-    }
-    return dur::FsyncPolicy::Interval;
-  }
-  std::size_t effectiveWalBytes() const {
-    if (dur.walBytes.has_value()) return *dur.walBytes;
-    return static_cast<std::size_t>(env::u64("OAK_WAL_BYTES", 64u << 20));
-  }
-
-  // ---- fluent setters --------------------------------------------------
-  OakConfig& withChunkCapacity(std::int32_t c) { chunkCapacity = c; return *this; }
-  OakConfig& withMaxUnsortedRatio(double r) { maxUnsortedRatio = r; return *this; }
-  OakConfig& withEphemeralViewBytes(std::size_t b) {
-    ephemeralViewBytes = b;
-    return *this;
-  }
-  OakConfig& withMem(MemConfig m) { mem = std::move(m); return *this; }
-  OakConfig& withDur(DurConfig d) { dur = std::move(d); return *this; }
-  /// Convenience: durability in one call (same as mem.withStorageDir).
-  OakConfig& withStorageDir(std::string dir) {
-    mem.storageDir = std::move(dir);
-    return *this;
-  }
-  OakConfig& withMaintenance(maint::MaintenanceConfig m) {
-    maintenance = std::move(m);
-    return *this;
-  }
-  OakConfig& withSnapshotDomain(SnapshotDomain* d) {
-    snapshotDomain = d;
-    return *this;
-  }
-};
 
 template <class Compare = BytesComparator>
 class OakCoreMap {
@@ -249,12 +66,13 @@ class OakCoreMap {
   explicit OakCoreMap(OakConfig cfg = OakConfig{}, Compare cmp = Compare{})
       : cfg_(cfg),
         cmp_(cmp),
-        metaHeap_(cfg.effectiveMetaHeap() != nullptr ? *cfg.effectiveMetaHeap()
-                                                     : mheap::ManagedHeap::unlimited()),
-        pool_(resolvePool(cfg, ownedPool_)),
-        mm_(pool_, static_cast<std::uint32_t>(cfg.effectiveEmergencyReserve())),
+        metaHeap_(cfg.mem.metaHeap != nullptr ? *cfg.mem.metaHeap
+                                              : mheap::ManagedHeap::unlimited()),
+        pool_(detail::resolvePool(cfg, ownedPool_)),
+        mm_(pool_, static_cast<std::uint32_t>(cfg.mem.emergencyReserveBytes)),
         indexMem_(metaHeap_),
-        index_(IndexCmp{cmp}, indexMem_) {
+        index_(IndexCmp{cmp}, indexMem_),
+        dur_(cfg) {
     // OakSan: chunk metadata (and the off-heap keys it references) is
     // reclaimed through ebr_, so key reads must happen under its guards.
     mm_.bindGuardDomain(&ebr_);
@@ -262,7 +80,7 @@ class OakCoreMap {
     if (cfg_.mem.magazines.has_value()) {
       mm_.allocator().setMagazinesEnabled(*cfg_.mem.magazines);
     }
-    if (cfg_.effectiveReclaim() == ValueReclaim::Generational) headerPool_.emplace(mm_);
+    if (cfg_.mem.reclaim == ValueReclaim::Generational) headerPool_.emplace(mm_);
     compactionEnabled_ = cfg_.effectiveCompaction();
     compactionOccupancy_ = cfg_.effectiveCompactionOccupancy();
     ChunkT* head = ChunkT::make(metaHeap_, mm_, cmp_, ByteVec{}, cfg_.chunkCapacity);
@@ -289,18 +107,24 @@ class OakCoreMap {
     }
     snapCtx_ = detail::SnapCtx{snapDomain_, this, &OakCoreMap::vgcFeedThunk};
     // Durability last: recovery drives the normal bulk-load and put paths,
-    // so every other subsystem must already be wired.  wal_ stays null
-    // until replay finishes — the mutation wrappers' log hooks check it,
-    // which is what keeps replayed operations from re-logging themselves.
-    durDir_ = cfg_.effectiveStorageDir();
-    if (durDir_.has_value()) initDurable();
+    // so every other subsystem must already be wired.
+    dur_.recover(
+        *this, [this](auto&& source) { bulkLoadSorted(source); },
+        [this](ByteSpan k, std::optional<ByteSpan> v) {
+          if (v.has_value()) {
+            doPut(k, *v, nullptr, PutOp::Put, nullptr, nullptr);
+          } else {
+            doIfPresent(k, nullptr, IfPresentOp::Remove, nullptr);
+          }
+        });
   }
 
   ~OakCoreMap() {
     // First cut the maintenance service loose: cancel queued jobs naming
-    // this map and wait out in-flight ones — after detach no worker can
-    // touch the chunks we are about to free.
+    // this map (or its auto-checkpoint) and wait out in-flight ones — after
+    // detach no worker can touch the chunks we are about to free.
     if (maintSvc_ != nullptr) maintSvc_->detach(this);
+    dur_.detach();
     // Quiescent teardown: reclaim chunks (live chain + retired) directly.
     ebr_.drainAll();
     ChunkT* c = head_.load(std::memory_order_relaxed);
@@ -437,7 +261,7 @@ class OakCoreMap {
     obs::OpTimer t(stats_, obs::Op::Put);
     bool replaced = false;
     doPut(key, value, nullptr, PutOp::Put, old, &replaced);
-    walLogPut(key, value);
+    dur_.logPut(key, value);
     maybeCollectVersions();
     maybeEvacuate();
     return replaced;
@@ -447,7 +271,7 @@ class OakCoreMap {
   bool putIfAbsent(ByteSpan key, ByteSpan value) {
     obs::OpTimer t(stats_, obs::Op::PutIfAbsent);
     const bool ok = doPut(key, value, nullptr, PutOp::PutIfAbsent, nullptr, nullptr);
-    if (ok) walLogPut(key, value);
+    if (ok) dur_.logPut(key, value);
     maybeCollectVersions();
     maybeEvacuate();
     return ok;
@@ -460,7 +284,7 @@ class OakCoreMap {
     obs::OpTimer t(stats_, obs::Op::PutIfAbsentCompute);
     ComputeFn fn = makeComputeFn(func);
     doPut(key, value, &fn, PutOp::PutIfAbsentComputeIfPresent, nullptr, nullptr);
-    walLogPostImage(key);
+    dur_.logPostImage(*this, key);
     maybeCollectVersions();
     maybeEvacuate();
   }
@@ -471,7 +295,7 @@ class OakCoreMap {
     obs::OpTimer t(stats_, obs::Op::Compute);
     ComputeFn fn = makeComputeFn(func);
     const bool ok = doIfPresent(key, &fn, IfPresentOp::Compute, nullptr);
-    if (ok) walLogPostImage(key);
+    if (ok) dur_.logPostImage(*this, key);
     maybeCollectVersions();
     maybeEvacuate();
     return ok;
@@ -482,7 +306,7 @@ class OakCoreMap {
   bool remove(ByteSpan key, ByteVec* old = nullptr) {
     obs::OpTimer t(stats_, obs::Op::Remove);
     const bool ok = doIfPresent(key, nullptr, IfPresentOp::Remove, old);
-    if (ok) walLogRemove(key);
+    if (ok) dur_.logRemove(key);
     maybeCollectVersions();
     maybeEvacuate();
     return ok;
@@ -874,16 +698,7 @@ class OakCoreMap {
     m.snapshotsActive = snapDomain_->activeSnapshots();
     m.snapshotPinMs = snapDomain_->pinnedMsTotal();
     m.versionFeedDepth = versionFeedDepth();
-    if (wal_ != nullptr) {
-      m.durable = true;
-      const dur::WalStats ws = wal_->stats();
-      m.walAppends = ws.appends;
-      m.walFsyncs = ws.fsyncs;
-      m.walBytes = ws.bytes;
-      m.checkpoints = checkpoints_.load(std::memory_order_relaxed);
-    }
-    m.recoveryReplayed = recoveryReplayed_.load(std::memory_order_relaxed);
-    m.recoveryMs = recoveryMs_.load(std::memory_order_relaxed);
+    dur_.addTo(m);
     return m;
   }
   obs::StatsRegistry& statsRegistry() noexcept { return stats_; }
@@ -988,66 +803,20 @@ class OakCoreMap {
   }
 
   // ================================================= durability lifecycle
+  // The lifecycle lives in detail::Durability (oak/durability.hpp); the
+  // core contributes its chunk-walk snapshot scan and its recovery paths.
   /// True when this map persists to a storage directory (DESIGN.md §12).
-  bool durable() const noexcept { return wal_ != nullptr; }
-
-  /// Synchronous checkpoint: snapshots the map at one version, streams the
-  /// pairs to a new checkpoint file, commits the manifest, and truncates
-  /// the WAL to the rotation point.  Concurrent mutations proceed (only
-  /// the WAL-rotation instant is serialized with appends).  Returns the
-  /// pair count written, or 0 on a non-durable map.  The auto-trigger
-  /// (OAK_WAL_BYTES) routes here through the maintenance service.
-  std::uint64_t checkpointNow() {
-    if (wal_ == nullptr) return 0;
-    MutexLock lk(cpMu_);
-    // Rotate-and-pin under the WAL append mutex: every record already in
-    // the closed segments was appended — hence version-stamped — before
-    // the snapshot opened, so its effect is at or below V and lands in the
-    // checkpoint.  Anything after the rotation goes to the new segment and
-    // replays on top.  (§12.3 has the full argument.)
-    std::optional<Snapshot> snap;
-    const std::uint64_t newWalSeq =
-        wal_->rotate([&] { snap.emplace(*snapDomain_); });
-    const std::uint64_t v = snap->version();
-    const std::uint64_t newCpSeq = std::max(cpSeq_, prevCpSeq_) + 1;
-    dur::CheckpointWriter w(*durDir_, newCpSeq, v);
-    for (auto it = ascend(std::nullopt, std::nullopt,
-                          ScanOptions::snapshotAt(v));
-         it.valid(); it.next()) {
-      auto e = it.entry();
-      e.readValue([&](ByteSpan val) { w.append(e.key, val); });
-    }
-    const std::uint64_t pairs = w.finish();
-    dur::Manifest m;
-    m.cpSeq = newCpSeq;
-    m.cpVersion = v;
-    m.walStart = newWalSeq;
-    m.pairs = pairs;
-    m.prevCpSeq = cpSeq_;
-    m.prevWalStart = walStartSeq_;
-    m.store(*durDir_);
-    dur::purgeObsolete(*durDir_, m);
-    cpSeq_ = newCpSeq;
-    walStartSeq_ = newWalSeq;
-    prevCpSeq_ = m.prevCpSeq;
-    prevWalStart_ = m.prevWalStart;
-    checkpoints_.fetch_add(1, std::memory_order_relaxed);
-    return pairs;
-  }
-
-  /// Forces everything appended to the WAL so far onto disk (used by tests
-  /// and by callers that batch under FsyncPolicy::Never/Interval).
-  void syncWal() {
-    if (wal_ != nullptr) wal_->sync();
-  }
-
+  bool durable() const noexcept { return dur_.durable(); }
+  /// Synchronous checkpoint; returns pairs written (0 on in-memory maps).
+  /// The auto-trigger (OAK_WAL_BYTES) routes here.
+  std::uint64_t checkpointNow() { return dur_.checkpoint(*this); }
+  /// Forces everything appended to the WAL so far onto disk.
+  void syncWal() { dur_.syncWal(); }
   /// Records replayed from the WAL tail by the last open (0 = none).
   std::uint64_t recoveryReplayedRecords() const noexcept {
-    return recoveryReplayed_.load(std::memory_order_relaxed);
+    return dur_.recoveryReplayedRecords();
   }
-  std::uint64_t recoveryMillis() const noexcept {
-    return recoveryMs_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t recoveryMillis() const noexcept { return dur_.recoveryMillis(); }
 
   /// RECOVERY ONLY — bulk-loads ascending (key, value) pairs into fresh
   /// chunks without touching the put path; single-threaded, map must be
@@ -1731,137 +1500,6 @@ class OakCoreMap {
     return headerPool_ ? &*headerPool_ : nullptr;
   }
 
-  // ----------------------------------------------------------- durability
-  /// Owned file-backed pool for durable maps without an explicit pool; the
-  /// global anonymous pool otherwise.  A helper (not ctor-body code) so the
-  /// `pool_` reference member can bind to it in the init list.
-  static mem::BlockPool& resolvePool(const OakConfig& cfg,
-                                     std::unique_ptr<mem::BlockPool>& owned) {
-    if (cfg.effectivePool() != nullptr) return *cfg.effectivePool();
-    if (auto dir = cfg.effectiveStorageDir()) {
-      owned = std::make_unique<mem::BlockPool>(
-          mem::BlockPool::Config{.storageDir = *dir + "/arenas"});
-      return *owned;
-    }
-    return mem::BlockPool::global();
-  }
-
-  /// WAL hooks, called from the public mutation wrappers after the
-  /// operation's in-memory linearization (and version stamp) but before
-  /// the call returns — the append IS the commit point.  Appends are
-  /// serialized by the WAL mutex, so two non-concurrent same-key ops log
-  /// in linearization order; truly concurrent same-key writes may log in
-  /// either order, both valid linearizations (DESIGN.md §12.2).  No-ops on
-  /// non-durable maps and during recovery replay (wal_ still null).
-  void walLogPut(ByteSpan key, ByteSpan value) {
-    if (wal_ == nullptr) return;
-    wal_->appendPut(key, value);
-    maybeCheckpoint();
-  }
-  void walLogRemove(ByteSpan key) {
-    if (wal_ == nullptr) return;
-    wal_->appendRemove(key);
-    maybeCheckpoint();
-  }
-  /// Compute-style ops mutate in place, so the record is the post-image
-  /// read back after the fact.  A racing writer can interleave between the
-  /// compute and this read; the record then carries the racer's bytes —
-  /// a later, equally valid state for this key (and the racer logs its own
-  /// record too).  A read finding the key gone means a concurrent remove
-  /// won; its remove record covers the key, so logging nothing is exact.
-  void walLogPostImage(ByteSpan key) {
-    if (wal_ == nullptr) return;
-    if (auto v = getCopy(key)) {
-      wal_->appendPut(key, asBytes(*v));
-      maybeCheckpoint();
-    }
-  }
-
-  /// Auto-checkpoint trigger: when the current WAL segment outgrows the
-  /// configured budget, hand a checkpoint job to the maintenance service
-  /// (deduped by a self-owned flag, mirroring the version-GC job) or run
-  /// inline without one.
-  void maybeCheckpoint() {
-    if (wal_->bytesSinceRotate() < walBytesBudget_) return;
-    if (maintSvc_ == nullptr) {
-      checkpointNow();
-      return;
-    }
-    if (cpJobQueued_.exchange(true, std::memory_order_acq_rel)) return;
-    const bool queued = maintSvc_->submit(
-        this, ByteVec{std::byte{1}}, 1u << 20, [](void* owner, const ByteVec&) {
-          auto* self = static_cast<OakCoreMap*>(owner);
-          self->cpJobQueued_.store(false, std::memory_order_release);
-          self->checkpointNow();
-        });
-    if (!queued) {
-      cpJobQueued_.store(false, std::memory_order_release);
-      checkpointNow();
-    }
-  }
-
-  /// Opens the storage directory: plan recovery, bulk-load the checkpoint,
-  /// replay the WAL tail through the normal mutation paths (wal_ is still
-  /// null, so nothing re-logs), then start a fresh WAL segment past all
-  /// replayable history.  Old segments stay on disk until the next
-  /// checkpoint — the replayed records' durability still lives there.
-  void initDurable() {
-    const std::string& dir = *durDir_;
-    std::filesystem::create_directories(dir);
-    const auto t0 = std::chrono::steady_clock::now();
-    const dur::RecoveryPlan plan = dur::planRecovery(dir);
-
-    std::uint64_t replayed = 0;
-    if (plan.cpSeq != 0) {
-      auto reader = dur::CheckpointReader::open(dir, plan.cpSeq);
-      if (reader.has_value()) {
-        bulkLoadSorted([&](ByteSpan& k, ByteSpan& v) {
-          return reader->next(k, v);
-        });
-      }
-    }
-    for (const std::uint64_t seq : plan.walSegments) {
-      const auto st = dur::replayWalSegment(
-          dur::walSegmentPath(dir, seq),
-          [&](std::uint8_t type, ByteSpan k, ByteSpan v) {
-            if (type == dur::kWalPut) {
-              doPut(k, v, nullptr, PutOp::Put, nullptr, nullptr);
-            } else if (type == dur::kWalRemove) {
-              doIfPresent(k, nullptr, IfPresentOp::Remove, nullptr);
-            }
-          });
-      if (st.has_value()) replayed += st->records;
-    }
-    recoveryReplayed_.store(replayed, std::memory_order_relaxed);
-    {
-      MutexLock lk(cpMu_);
-      cpSeq_ = plan.cpSeq;
-      walStartSeq_ =
-          plan.walSegments.empty() ? plan.nextWalSeq : plan.walSegments.front();
-    }
-
-    walBytesBudget_ = cfg_.effectiveWalBytes();
-    wal_ = std::make_unique<dur::Wal>(
-        dir, plan.nextWalSeq,
-        dur::Wal::Options{.policy = cfg_.effectiveFsyncPolicy(),
-                          .intervalMs = cfg_.dur.fsyncIntervalMs});
-    if (!plan.haveManifest) {
-      // First open: commit an empty-checkpoint manifest so a crash before
-      // the first checkpoint still finds its WAL start on reopen.
-      MutexLock lk(cpMu_);
-      dur::Manifest m;
-      m.cpSeq = 0;
-      m.walStart = plan.nextWalSeq;
-      m.store(dir);
-    }
-    recoveryMs_.store(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
-  }
-
   // --------------------------------------------------------- version GC
   /// SnapCtx feed hook: a writer that chained a superseded version (or laid
   /// a tombstone) registers the cell for the off-hot-path version GC.
@@ -1879,32 +1517,15 @@ class OakCoreMap {
 
   /// Amortized version-GC trigger, called from update wrappers AFTER their
   /// EBR guard is released.  With a maintenance pool the collection is
-  /// handed to a worker (deduped by a self-owned flag — the service's
-  /// (owner,key) dedupe also covers rebalance jobs, so a collision there
-  /// must not strand the flag); inline otherwise.
+  /// handed to a worker as one coalesced job; inline otherwise.
   void maybeCollectVersions() {
     if ((vgcTick_.fetch_add(1, std::memory_order_relaxed) & 1023u) != 0) return;
     {
       SpinGuard lk(vgcMu_);
       if (vgcFeed_.empty()) return;
     }
-    if (maintSvc_ == nullptr) {
-      collectVersionsNow();
-      return;
-    }
-    if (vgcJobQueued_.exchange(true, std::memory_order_acq_rel)) return;
-    const bool queued = maintSvc_->submit(
-        this, ByteVec{std::byte{0}}, 4096, [](void* owner, const ByteVec&) {
-          auto* self = static_cast<OakCoreMap*>(owner);
-          self->vgcJobQueued_.store(false, std::memory_order_release);
-          self->collectVersionsNow();
-        });
-    if (!queued) {
-      // Saturated queue or deduped against a same-key job: run inline so
-      // the backlog cannot wedge behind a stuck flag.
-      vgcJobQueued_.store(false, std::memory_order_release);
-      collectVersionsNow();
-    }
+    maint::CoalescedJob::trigger<&OakCoreMap::vgcJob_, &OakCoreMap::collectVersionsNow>(
+        maintSvc_, this, std::byte{0}, 4096);
   }
 
   // ----------------------------------------------------- arena evacuation
@@ -1993,8 +1614,8 @@ class OakCoreMap {
   /// Amortized evacuation trigger, called from the update wrappers AFTER
   /// their EBR guard is released (compactNow quiesces, so it must never run
   /// under a guard).  Cheap tick gate, then a footprint probe — scanning
-  /// occupancy is only worth it when whole arenas of slack exist — then the
-  /// checkpoint job's dedupe-flag pattern.
+  /// occupancy is only worth it when whole arenas of slack exist — then one
+  /// coalesced job.
   void maybeEvacuate() {
     if (!compactionEnabled_) return;
     if ((evacTick_.fetch_add(1, std::memory_order_relaxed) & 4095u) != 0) return;
@@ -2003,28 +1624,15 @@ class OakCoreMap {
     const std::size_t live = mm_.allocatedBytes();
     if (footprint < 3 * blockBytes) return;
     if (footprint - std::min(live, footprint) < 2 * blockBytes) return;
-    if (maintSvc_ == nullptr) {
-      compactNow();
-      return;
-    }
-    if (evacJobQueued_.exchange(true, std::memory_order_acq_rel)) return;
-    const bool queued = maintSvc_->submit(
-        this, ByteVec{std::byte{2}}, 1u << 20, [](void* owner, const ByteVec&) {
-          auto* self = static_cast<OakCoreMap*>(owner);
-          self->evacJobQueued_.store(false, std::memory_order_release);
-          self->compactNow();
-        });
-    if (!queued) {
-      evacJobQueued_.store(false, std::memory_order_release);
-      compactNow();
-    }
+    maint::CoalescedJob::trigger<&OakCoreMap::evacJob_, &OakCoreMap::compactNow>(
+        maintSvc_, this, std::byte{2}, 1u << 20);
   }
 
   OakConfig cfg_;
   Compare cmp_;
   mheap::ManagedHeap& metaHeap_;
-  /// Declared before pool_ so resolvePool can fill it while the reference
-  /// binds (file-backed pool for durable maps without an explicit one).
+  /// Declared before pool_ so detail::resolvePool can fill it while the
+  /// reference binds (file-backed pool for durable maps without an explicit one).
   std::unique_ptr<mem::BlockPool> ownedPool_;
   mem::BlockPool& pool_;
   mem::MemoryManager mm_;
@@ -2047,29 +1655,18 @@ class OakCoreMap {
   mutable SpinLock vgcMu_;
   std::vector<std::uint64_t> vgcFeed_ OAK_GUARDED_BY(vgcMu_);  // VRef bits
   std::atomic<std::uint32_t> vgcTick_{0};
-  std::atomic<bool> vgcJobQueued_{false};
+  maint::CoalescedJob vgcJob_;
 
   // Arena evacuation (DESIGN.md §13).  compactMu_ serializes whole runs
   // (pure mutual exclusion — victim state lives in the allocator).
   Mutex compactMu_;
   std::atomic<std::uint32_t> evacTick_{0};
-  std::atomic<bool> evacJobQueued_{false};
+  maint::CoalescedJob evacJob_;
   bool compactionEnabled_ = false;
   double compactionOccupancy_ = 0.25;
 
-  // Durability (src/dur): all null/zero for in-memory maps.
-  std::optional<std::string> durDir_;   // storage dir; engaged = durable
-  std::unique_ptr<dur::Wal> wal_;       // created after recovery replay
-  std::size_t walBytesBudget_ = 64u << 20;
-  Mutex cpMu_;  // serializes checkpoints and the manifest generation state
-  std::uint64_t cpSeq_ OAK_GUARDED_BY(cpMu_) = 0;
-  std::uint64_t walStartSeq_ OAK_GUARDED_BY(cpMu_) = 1;
-  std::uint64_t prevCpSeq_ OAK_GUARDED_BY(cpMu_) = 0;
-  std::uint64_t prevWalStart_ OAK_GUARDED_BY(cpMu_) = 0;
-  std::atomic<bool> cpJobQueued_{false};
-  std::atomic<std::uint64_t> checkpoints_{0};
-  std::atomic<std::uint64_t> recoveryReplayed_{0};
-  std::atomic<std::uint64_t> recoveryMs_{0};
+  // Durability (DESIGN.md §12): inert for in-memory maps.
+  detail::Durability dur_;
 
   friend class AscendIter;
   friend class DescendIter;

@@ -56,10 +56,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -71,10 +69,9 @@
 #include "common/mutex.hpp"
 #include "common/spin.hpp"
 #include "common/thread_registry.hpp"
-#include "dur/checkpoint.hpp"
-#include "dur/wal.hpp"
 #include "maint/maintenance.hpp"
 #include "oak/core_map.hpp"
+#include "oak/durability.hpp"
 #include "oak/shard_router.hpp"
 
 namespace oak {
@@ -115,7 +112,7 @@ class ShardedOakCoreMap {
 
   explicit ShardedOakCoreMap(ShardedOakConfig cfg = ShardedOakConfig{},
                              Compare cmp = Compare{})
-      : cmp_(cmp) {
+      : cmp_(cmp), dur_(cfg.shard) {
     ShardLayout layout = cfg.layout.boundaries.empty()
                              ? ShardLayout::uniformU64(cfg.shards < 1 ? 1 : cfg.shards)
                              : std::move(cfg.layout);
@@ -125,23 +122,13 @@ class ShardedOakCoreMap {
     // are built explicitly in-memory — mem.storageDir = "" overrides any
     // OAK_STORAGE_DIR — and share one file-backed pool when no explicit
     // pool was injected.
-    durDir_ = shardCfg_.effectiveStorageDir();
-    std::optional<dur::RecoveryPlan> plan;
-    if (durDir_.has_value()) {
-      std::filesystem::create_directories(*durDir_);
-      shardCfg_.mem.storageDir = std::string{};
-      if (shardCfg_.effectivePool() == nullptr) {
-        ownedPool_ = std::make_unique<mem::BlockPool>(
-            mem::BlockPool::Config{.storageDir = *durDir_ + "/arenas"});
-        shardCfg_.mem.pool = ownedPool_.get();
-      }
-      plan = dur::planRecovery(*durDir_);
-      if (plan->haveManifest && !plan->shardBounds.empty()) {
-        // The manifest's boundaries are the crash-time layout: rebuilding
-        // under them keeps each shard's checkpoint slice in its owner and
-        // preserves any online splits/merges that happened before the stop.
-        layout = ShardLayout::at(plan->shardBounds);
-      }
+    shardCfg_.mem.pool = &detail::resolvePool(shardCfg_, ownedPool_);
+    shardCfg_.mem.storageDir = std::string{};
+    if (!dur_.recoveredShardBounds().empty()) {
+      // The manifest's boundaries are the crash-time layout: rebuilding
+      // under them keeps each shard's checkpoint slice in its owner and
+      // preserves any online splits/merges that happened before the stop.
+      layout = ShardLayout::at(dur_.recoveredShardBounds());
     }
     // One maintenance service for every shard (and for our own
     // shard-management jobs): adopt the caller's, or own a pool when the
@@ -183,13 +170,23 @@ class ShardedOakCoreMap {
       MutexLock lk(mgmtMu_);
       publishLocked(std::move(t0));
     }
-    if (plan.has_value()) initDurable(*plan);
+    dur_.recover(
+        *this, [this](auto&& source) { bulkLoadRouted(source); },
+        [this](ByteSpan k, std::optional<ByteSpan> v) {
+          if (v.has_value()) {
+            put(k, *v);
+          } else {
+            remove(k);
+          }
+        },
+        [this] { return currentBounds(); });
   }
 
   ~ShardedOakCoreMap() {
-    // Cancel queued shard-management jobs naming this map and wait out
+    // Cancel queued shard-management and checkpoint jobs and wait out
     // in-flight ones; each core then detaches itself in its own destructor.
     if (svc_ != nullptr) svc_->detach(this);
+    dur_.detach();
   }
 
   ShardedOakCoreMap(const ShardedOakCoreMap&) = delete;
@@ -232,18 +229,17 @@ class ShardedOakCoreMap {
     return readOp(key, [&](Core& c) { return c.containsKey(key); });
   }
 
-  // The WAL hooks mirror OakCoreMap's: they fire at this level (the cores
-  // are built in-memory; see the constructor) after the routed operation
-  // linearizes, before the call returns.  All are no-ops when wal_ is null
-  // — in-memory maps and recovery replay.
+  // The WAL hooks fire at this level (the cores are built in-memory; see
+  // the constructor) after the routed operation linearizes, before the call
+  // returns.  All are no-ops on in-memory maps and during recovery replay.
   bool put(ByteSpan key, ByteSpan value, ByteVec* old = nullptr) {
     const bool replaced = writeOp(key, [&](Core& c) { return c.put(key, value, old); });
-    walLogPut(key, value);
+    dur_.logPut(key, value);
     return replaced;
   }
   bool putIfAbsent(ByteSpan key, ByteSpan value) {
     const bool ok = writeOp(key, [&](Core& c) { return c.putIfAbsent(key, value); });
-    if (ok) walLogPut(key, value);
+    if (ok) dur_.logPut(key, value);
     return ok;
   }
   template <class F>
@@ -252,31 +248,31 @@ class ShardedOakCoreMap {
       c.putIfAbsentComputeIfPresent(key, value, std::forward<F>(func));
       return true;
     });
-    walLogPostImage(key);
+    dur_.logPostImage(*this, key);
   }
   template <class F>
   bool computeIfPresent(ByteSpan key, F&& func) {
     const bool ok = writeOp(key, [&](Core& c) {
       return c.computeIfPresent(key, std::forward<F>(func));
     });
-    if (ok) walLogPostImage(key);
+    if (ok) dur_.logPostImage(*this, key);
     return ok;
   }
   bool remove(ByteSpan key, ByteVec* old = nullptr) {
     const bool ok = writeOp(key, [&](Core& c) { return c.remove(key, old); });
-    if (ok) walLogRemove(key);
+    if (ok) dur_.logRemove(key);
     return ok;
   }
   bool replace(ByteSpan key, ByteSpan value, ByteVec* old = nullptr) {
     const bool ok =
         writeOp(key, [&](Core& c) { return c.replace(key, value, old); });
-    if (ok) walLogPut(key, value);
+    if (ok) dur_.logPut(key, value);
     return ok;
   }
   bool replaceIf(ByteSpan key, ByteSpan expected, ByteSpan desired) {
     const bool ok =
         writeOp(key, [&](Core& c) { return c.replaceIf(key, expected, desired); });
-    if (ok) walLogPut(key, desired);
+    if (ok) dur_.logPut(key, desired);
     return ok;
   }
 
@@ -284,7 +280,7 @@ class ShardedOakCoreMap {
   /// so the retry ladder and emergency reserve are the owning shard's.
   Status tryPut(ByteSpan key, ByteSpan value) {
     const Status s = writeOp(key, [&](Core& c) { return c.tryPut(key, value); });
-    if (s == Status::Ok) walLogPut(key, value);
+    if (s == Status::Ok) dur_.logPut(key, value);
     return s;
   }
   template <class F>
@@ -294,7 +290,7 @@ class ShardedOakCoreMap {
       return c.tryCompute(key, std::forward<F>(func), &ran);
     });
     if (computed != nullptr) *computed = ran;
-    if (s == Status::Ok && ran) walLogPostImage(key);
+    if (s == Status::Ok && ran) dur_.logPostImage(*this, key);
     return s;
   }
 
@@ -602,65 +598,26 @@ class ShardedOakCoreMap {
   }
 
   // ===================================================== durability ==
+  // The lifecycle lives in detail::Durability (oak/durability.hpp); this
+  // front end contributes its merged snapshot scan, its shard bounds and
+  // its routed recovery paths.
   /// True when this map persists to a storage directory (DESIGN.md §12).
-  bool durable() const noexcept { return wal_ != nullptr; }
-
-  /// Synchronous whole-map checkpoint: rotates the one front-end WAL while
-  /// pinning a snapshot version, streams the merged cross-shard scan at
-  /// that version into a new checkpoint file, and commits a manifest that
-  /// also records the current shard boundaries.  Returns pairs written
-  /// (0 on in-memory maps).
+  bool durable() const noexcept { return dur_.durable(); }
+  /// Synchronous whole-map checkpoint of the merged cross-shard scan; the
+  /// manifest also records the current shard boundaries.  Returns pairs
+  /// written (0 on in-memory maps).
   std::uint64_t checkpointNow() {
-    if (wal_ == nullptr) return 0;
-    MutexLock lk(cpMu_);
-    std::optional<Snapshot> snap;
-    const std::uint64_t newWalSeq =
-        wal_->rotate([&] { snap.emplace(*snapDomain_); });
-    const std::uint64_t v = snap->version();
-    const std::uint64_t newCpSeq = std::max(cpSeq_, prevCpSeq_) + 1;
-    dur::CheckpointWriter w(*durDir_, newCpSeq, v);
-    for (auto it = ascend(std::nullopt, std::nullopt,
-                          ScanOptions::snapshotAt(v));
-         it.valid(); it.next()) {
-      auto e = it.entry();
-      e.readValue([&](ByteSpan val) { w.append(e.key, val); });
-    }
-    const std::uint64_t pairs = w.finish();
-    dur::Manifest m;
-    m.cpSeq = newCpSeq;
-    m.cpVersion = v;
-    m.walStart = newWalSeq;
-    m.pairs = pairs;
-    {
-      // Boundaries may drift between the scan and this capture; recovery
-      // routing is self-consistent under ANY sorted boundary set, so a
-      // racing split/merge costs nothing but a different initial layout.
-      MutexLock mlk(mgmtMu_);
-      m.shardBounds = boundsOf(*table_.load(std::memory_order_acquire));
-    }
-    m.prevCpSeq = cpSeq_;
-    m.prevWalStart = walStartSeq_;
-    m.store(*durDir_);
-    dur::purgeObsolete(*durDir_, m);
-    cpSeq_ = newCpSeq;
-    walStartSeq_ = newWalSeq;
-    prevCpSeq_ = m.prevCpSeq;
-    prevWalStart_ = m.prevWalStart;
-    checkpoints_.fetch_add(1, std::memory_order_relaxed);
-    return pairs;
+    // Boundaries may drift between the scan and their capture; recovery
+    // routing is self-consistent under ANY sorted boundary set, so a
+    // racing split/merge costs nothing but a different initial layout.
+    return dur_.checkpoint(*this, [this] { return currentBounds(); });
   }
-
   /// Forces everything appended to the WAL so far onto disk.
-  void syncWal() {
-    if (wal_ != nullptr) wal_->sync();
-  }
-
+  void syncWal() { dur_.syncWal(); }
   std::uint64_t recoveryReplayedRecords() const noexcept {
-    return recoveryReplayed_.load(std::memory_order_relaxed);
+    return dur_.recoveryReplayedRecords();
   }
-  std::uint64_t recoveryMillis() const noexcept {
-    return recoveryMs_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t recoveryMillis() const noexcept { return dur_.recoveryMillis(); }
 
   // ========================================================= stats ==
   std::size_t sizeSlow() {
@@ -712,16 +669,7 @@ class ShardedOakCoreMap {
     m.shards = t->cores.size();
     // Durability gauges live at the front-end (the cores run in-memory and
     // contribute zeros above).
-    if (wal_ != nullptr) {
-      const dur::WalStats ws = wal_->stats();
-      m.durable = true;
-      m.walAppends = ws.appends;
-      m.walFsyncs = ws.fsyncs;
-      m.walBytes = ws.bytes;
-      m.checkpoints = checkpoints_.load(std::memory_order_relaxed);
-    }
-    m.recoveryReplayed = recoveryReplayed_.load(std::memory_order_relaxed);
-    m.recoveryMs = recoveryMs_.load(std::memory_order_relaxed);
+    dur_.addTo(m);
     return m;
   }
   /// Per-shard snapshots (one oak::Metrics per live shard, unaggregated).
@@ -1176,115 +1124,34 @@ class ShardedOakCoreMap {
   }
 
   // ----------------------------------------------------- durability --
-  // Same shape as OakCoreMap's hooks; see that file for the ordering
-  // argument (append-after-linearize, rotate-then-pin at checkpoint).
-  void walLogPut(ByteSpan key, ByteSpan value) {
-    if (wal_ == nullptr) return;
-    wal_->appendPut(key, value);
-    maybeCheckpoint();
-  }
-  void walLogRemove(ByteSpan key) {
-    if (wal_ == nullptr) return;
-    wal_->appendRemove(key);
-    maybeCheckpoint();
-  }
-  void walLogPostImage(ByteSpan key) {
-    if (wal_ == nullptr) return;
-    if (auto v = getCopy(key)) {
-      wal_->appendPut(key, asBytes(*v));
-      maybeCheckpoint();
-    }
+  /// Current shard boundaries, as the manifest records them.
+  std::vector<ByteVec> currentBounds() const {
+    MutexLock lk(mgmtMu_);
+    return boundsOf(*table_.load(std::memory_order_acquire));
   }
 
-  void maybeCheckpoint() {
-    if (wal_->bytesSinceRotate() < walBytesBudget_) return;
-    if (svc_ == nullptr) {
-      checkpointNow();
-      return;
+  /// Recovery bulk load: routes the checkpoint's globally sorted pair
+  /// stream into each shard's bulk loader (a shard consumes until its upper
+  /// boundary).
+  template <class Source>
+  void bulkLoadRouted(Source& source) {
+    Table* t = table_.load(std::memory_order_acquire);
+    ByteSpan pk, pv;
+    bool pending = source(pk, pv);
+    for (std::size_t i = 0; i < t->cores.size() && pending; ++i) {
+      const std::optional<ByteVec> ub = ownedUpper(*t, i);
+      t->cores[i]->bulkLoadSorted([&](ByteSpan& key, ByteSpan& value) {
+        if (!pending) return false;
+        if (ub && cmp_(pk, asBytes(*ub)) >= 0) return false;
+        key = pk;
+        value = pv;
+        // Advancing is safe before the consumer copies: the checkpoint
+        // reader hands out spans into its whole-file buffer, so the
+        // previous pair's bytes stay put.
+        pending = source(pk, pv);
+        return true;
+      });
     }
-    if (cpJobQueued_.exchange(true, std::memory_order_acq_rel)) return;
-    const bool queued = svc_->submit(
-        this, ByteVec{std::byte{1}}, 1u << 20, [](void* owner, const ByteVec&) {
-          auto* self = static_cast<ShardedOakCoreMap*>(owner);
-          self->cpJobQueued_.store(false, std::memory_order_release);
-          self->checkpointNow();
-        });
-    if (!queued) {
-      cpJobQueued_.store(false, std::memory_order_release);
-      checkpointNow();
-    }
-  }
-
-  /// Recovery: route the checkpoint's globally sorted pair stream into each
-  /// shard's bulk loader (a shard consumes until its upper boundary), then
-  /// replay the WAL tail through the routed public ops.  wal_ is still null
-  /// throughout, so nothing re-logs.
-  void initDurable(const dur::RecoveryPlan& plan) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t replayed = 0;
-    if (plan.cpSeq != 0) {
-      auto reader = dur::CheckpointReader::open(*durDir_, plan.cpSeq);
-      if (reader.has_value()) {
-        Table* t = table_.load(std::memory_order_acquire);
-        ByteSpan pk, pv;
-        bool pending = reader->next(pk, pv);
-        for (std::size_t i = 0; i < t->cores.size() && pending; ++i) {
-          const std::optional<ByteVec> ub = ownedUpper(*t, i);
-          t->cores[i]->bulkLoadSorted([&](ByteSpan& key, ByteSpan& value) {
-            if (!pending) return false;
-            if (ub && cmp_(pk, asBytes(*ub)) >= 0) return false;
-            key = pk;
-            value = pv;
-            // Advancing is safe before the consumer copies: the reader
-            // hands out spans into its whole-file buffer, so the previous
-            // pair's bytes stay put.
-            pending = reader->next(pk, pv);
-            return true;
-          });
-        }
-      }
-    }
-    for (const std::uint64_t seq : plan.walSegments) {
-      const auto st = dur::replayWalSegment(
-          dur::walSegmentPath(*durDir_, seq),
-          [&](std::uint8_t type, ByteSpan k, ByteSpan v) {
-            if (type == dur::kWalPut) {
-              put(k, v);
-            } else if (type == dur::kWalRemove) {
-              remove(k);
-            }
-          });
-      if (st.has_value()) replayed += st->records;
-    }
-    recoveryReplayed_.store(replayed, std::memory_order_relaxed);
-    {
-      MutexLock lk(cpMu_);
-      cpSeq_ = plan.cpSeq;
-      walStartSeq_ =
-          plan.walSegments.empty() ? plan.nextWalSeq : plan.walSegments.front();
-    }
-    walBytesBudget_ = shardCfg_.effectiveWalBytes();
-    wal_ = std::make_unique<dur::Wal>(
-        *durDir_, plan.nextWalSeq,
-        dur::Wal::Options{.policy = shardCfg_.effectiveFsyncPolicy(),
-                          .intervalMs = shardCfg_.dur.fsyncIntervalMs});
-    if (!plan.haveManifest) {
-      MutexLock lk(cpMu_);
-      dur::Manifest m;
-      m.cpSeq = 0;
-      m.walStart = plan.nextWalSeq;
-      {
-        MutexLock mlk(mgmtMu_);
-        m.shardBounds = boundsOf(*table_.load(std::memory_order_acquire));
-      }
-      m.store(*durDir_);
-    }
-    recoveryMs_.store(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
   }
 
   void noteOp() {
@@ -1335,20 +1202,9 @@ class ShardedOakCoreMap {
   std::unique_ptr<OpTick[]> opTick_;
   std::map<const void*, std::uint64_t> lastOps_;  // op counts at last check
 
-  // Durability (src/dur): all null/zero for in-memory maps.  One WAL and
-  // one checkpoint stream for the whole map, whatever the shard count.
-  std::optional<std::string> durDir_;
-  std::unique_ptr<dur::Wal> wal_;  // created after recovery replay
-  std::size_t walBytesBudget_ = 64u << 20;
-  Mutex cpMu_;  // serializes checkpoints and the manifest generation state
-  std::uint64_t cpSeq_ OAK_GUARDED_BY(cpMu_) = 0;
-  std::uint64_t walStartSeq_ OAK_GUARDED_BY(cpMu_) = 1;
-  std::uint64_t prevCpSeq_ OAK_GUARDED_BY(cpMu_) = 0;
-  std::uint64_t prevWalStart_ OAK_GUARDED_BY(cpMu_) = 0;
-  std::atomic<bool> cpJobQueued_{false};
-  std::atomic<std::uint64_t> checkpoints_{0};
-  std::atomic<std::uint64_t> recoveryReplayed_{0};
-  std::atomic<std::uint64_t> recoveryMs_{0};
+  // Durability (DESIGN.md §12): one WAL and one checkpoint stream for the
+  // whole map, whatever the shard count; inert for in-memory maps.
+  detail::Durability dur_;
 };
 
 }  // namespace oak

@@ -340,23 +340,6 @@ TEST(OakApi, SizeAndContains) {
 }
 
 // ------------------------------------------------------------- config API
-// Contract of the nested-config redesign: the deprecated flat fields keep
-// compiling (one release of grace for aggregate initializers), the nested
-// group wins when both are set, and unset optionals fall through to the
-// flat field.
-TEST(OakApi, FlatConfigFieldsStillResolve) {
-  OakConfig cfg;
-  cfg.reclaim = ValueReclaim::Generational;  // deprecated flat field
-  cfg.emergencyReserveBytes = 4096;
-  EXPECT_EQ(cfg.effectiveReclaim(), ValueReclaim::Generational);
-  EXPECT_EQ(cfg.effectiveEmergencyReserve(), 4096u);
-
-  // Nested group beats the flat field once explicitly set.
-  cfg.mem.withReclaim(ValueReclaim::KeepHeaders).withEmergencyReserve(128);
-  EXPECT_EQ(cfg.effectiveReclaim(), ValueReclaim::KeepHeaders);
-  EXPECT_EQ(cfg.effectiveEmergencyReserve(), 128u);
-}
-
 TEST(OakApi, BuilderComposesNestedGroups) {
   const auto cfg =
       OakConfig{}
@@ -364,7 +347,7 @@ TEST(OakApi, BuilderComposesNestedGroups) {
           .withMem(MemConfig{}.withReclaim(ValueReclaim::Generational))
           .withMaintenance(maint::MaintenanceConfig{}.withThreads(0).withQueueDepth(7));
   EXPECT_EQ(cfg.chunkCapacity, 256);
-  EXPECT_EQ(cfg.effectiveReclaim(), ValueReclaim::Generational);
+  EXPECT_EQ(cfg.mem.reclaim, ValueReclaim::Generational);
   EXPECT_EQ(cfg.maintenance.effectiveThreads(), 0u);
   EXPECT_EQ(cfg.maintenance.queueDepth, 7u);
 }

@@ -1,6 +1,9 @@
 // Integrated durability coverage (DESIGN.md §12): recovery round-trips on
-// the plain and sharded cores, checkpoint + WAL-tail interaction, torn-tail
-// and bit-flip corruption degrades, and the kill -9 drills.
+// the plain and sharded cores, checkpoint + WAL-tail interaction, the
+// WAL-bytes auto-checkpoint, torn-tail and bit-flip corruption degrades, and
+// the kill -9 drills.  The recovery, corruption, auto-checkpoint and kill
+// drills are written once over the map type and run on both front ends
+// (DURABILITY_TEST below).
 //
 // The drills follow the acknowledged-writes oracle: a child process opens a
 // durable map with FsyncPolicy::EveryCommit, streams puts, and reports each
@@ -20,6 +23,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -83,19 +87,64 @@ OakConfig durableCfg(const std::string& dir,
       .withDur(DurConfig{}.withFsyncPolicy(policy));
 }
 
-// =============================================================== core map
+template <class Map>
+constexpr bool kIsCore = std::is_same_v<Map, OakCoreMap<>>;
 
-TEST(CoreRecovery, PutsSurviveReopen) {
+/// `shard` as the config of either front end.  The sharded map runs two
+/// shards split at key-000100, so the drills' keys land on both.
+template <class Map>
+typename Map::Config configFor(OakConfig shard) {
+  if constexpr (kIsCore<Map>) {
+    return shard;
+  } else {
+    return ShardedOakConfig{}
+        .withShard(std::move(shard))
+        .withLayout(ShardLayout::at({toVec(bytes("key-000100"))}));
+  }
+}
+
+template <class Map>
+typename Map::Config durableCfgFor(const std::string& dir,
+                                   dur::FsyncPolicy policy = dur::FsyncPolicy::Never) {
+  return configFor<Map>(durableCfg(dir, policy));
+}
+
+/// ChunkWalker vouches for the recovered structure (every shard's).
+template <class Map>
+bool structureValid(Map& map) {
+  if constexpr (kIsCore<Map>) {
+    return ChunkWalker<BytesComparator>::validate(map).ok;
+  } else {
+    for (const auto& rep : ChunkWalker<BytesComparator>::validateShards(map)) {
+      if (!rep.ok) return false;
+    }
+    return true;
+  }
+}
+
+/// A drill written once over the map type `Map`: `Suite.Name` runs it on
+/// OakCoreMap, `ShardedSuite.Name` on the two-shard ShardedOakCoreMap.
+#define DURABILITY_TEST(Suite, Name)                                   \
+  template <class Map>                                                 \
+  void Suite##_##Name();                                               \
+  TEST(Suite, Name) { Suite##_##Name<OakCoreMap<>>(); }                \
+  TEST(Sharded##Suite, Name) { Suite##_##Name<ShardedOakCoreMap<>>(); } \
+  template <class Map>                                                 \
+  void Suite##_##Name()
+
+// ============================================================== both maps
+
+DURABILITY_TEST(CoreRecovery, PutsSurviveReopen) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    Map map(durableCfgFor<Map>(dir.str()));
     ASSERT_TRUE(map.durable());
     for (int i = 0; i < 500; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'a')));
     }
     map.syncWal();
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  Map map(durableCfgFor<Map>(dir.str()));
   EXPECT_EQ(map.recoveryReplayedRecords(), 500u);
   EXPECT_EQ(map.sizeSlow(), 500u);
   for (int i = 0; i < 500; ++i) {
@@ -103,14 +152,14 @@ TEST(CoreRecovery, PutsSurviveReopen) {
     ASSERT_TRUE(v.has_value()) << padKey(i);
     EXPECT_EQ(*v, toVec(bytes(valueFor(i, 'a'))));
   }
-  EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
+  EXPECT_TRUE(structureValid(map));
 }
 
-TEST(CoreRecovery, RemovesOverwritesAndComputesSurviveReopen) {
+DURABILITY_TEST(CoreRecovery, RemovesOverwritesAndComputesSurviveReopen) {
   TempDir dir;
   std::map<std::string, std::string> oracle;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    Map map(durableCfgFor<Map>(dir.str()));
     XorShift rng(chaosSeed());
     for (int op = 0; op < 2000; ++op) {
       const int i = static_cast<int>(rng.next() % 200);
@@ -144,20 +193,20 @@ TEST(CoreRecovery, RemovesOverwritesAndComputesSurviveReopen) {
     }
     map.syncWal();
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  Map map(durableCfgFor<Map>(dir.str()));
   EXPECT_EQ(map.sizeSlow(), oracle.size());
   for (const auto& [k, v] : oracle) {
     auto got = map.getCopy(bytes(k));
     ASSERT_TRUE(got.has_value()) << k;
     EXPECT_EQ(*got, toVec(bytes(v))) << k;
   }
-  EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
+  EXPECT_TRUE(structureValid(map));
 }
 
-TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
+DURABILITY_TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    Map map(durableCfgFor<Map>(dir.str()));
     for (int i = 0; i < 400; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'a')));
     }
@@ -167,7 +216,7 @@ TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
     }
     map.syncWal();
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  Map map(durableCfgFor<Map>(dir.str()));
   // The checkpoint absorbed the first 400; only the tail replays.
   EXPECT_EQ(map.recoveryReplayedRecords(), 50u);
   EXPECT_EQ(map.sizeSlow(), 450u);
@@ -177,12 +226,16 @@ TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
   const Metrics m = map.stats();
   EXPECT_TRUE(m.durable);
   EXPECT_EQ(m.recoveryReplayed, 50u);
+  // Only the sharded front end records shard bounds in the manifest.
+  const auto man = dur::Manifest::load(dir.str());
+  ASSERT_TRUE(man.has_value());
+  EXPECT_EQ(man->shardBounds.size(), kIsCore<Map> ? 0u : 1u);
 }
 
-TEST(CoreRecovery, RepeatedCheckpointsKeepTwoGenerationsAndRecover) {
+DURABILITY_TEST(CoreRecovery, RepeatedCheckpointsKeepTwoGenerationsAndRecover) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    Map map(durableCfgFor<Map>(dir.str()));
     for (int round = 0; round < 3; ++round) {
       for (int i = round * 100; i < (round + 1) * 100; ++i) {
         map.put(bytes(padKey(i)), bytes(valueFor(i, 'r')));
@@ -191,22 +244,22 @@ TEST(CoreRecovery, RepeatedCheckpointsKeepTwoGenerationsAndRecover) {
     }
     EXPECT_EQ(map.stats().checkpoints, 3u);
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  Map map(durableCfgFor<Map>(dir.str()));
   EXPECT_EQ(map.recoveryReplayedRecords(), 0u);
   EXPECT_EQ(map.sizeSlow(), 300u);
-  EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
+  EXPECT_TRUE(structureValid(map));
 }
 
-TEST(CoreRecovery, ScansAndSnapshotsWorkOnRecoveredMap) {
+DURABILITY_TEST(CoreRecovery, ScansAndSnapshotsWorkOnRecoveredMap) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    Map map(durableCfgFor<Map>(dir.str()));
     for (int i = 0; i < 300; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'a')));
     }
     map.checkpointNow();
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  Map map(durableCfgFor<Map>(dir.str()));
   // Bulk-loaded values must be visible to snapshot scans (stamped at load).
   int n = 0;
   std::string prev;
@@ -224,11 +277,59 @@ TEST(CoreRecovery, ScansAndSnapshotsWorkOnRecoveredMap) {
   EXPECT_GE(map.stats().walAppends, 1u);
 }
 
-TEST(CoreRecovery, ExplicitEmptyStorageDirDisablesDurability) {
-  OakCoreMap<> map(OakConfig{}.withStorageDir(std::string{}));
+DURABILITY_TEST(CoreRecovery, ExplicitEmptyStorageDirDisablesDurability) {
+  Map map(configFor<Map>(OakConfig{}.withStorageDir(std::string{})));
   EXPECT_FALSE(map.durable());
   EXPECT_EQ(map.checkpointNow(), 0u);
   map.syncWal();  // no-op, must not crash
+}
+
+// The WAL-bytes budget checkpoints on its own: inline without a
+// maintenance pool, as a coalesced job on a worker with one.  Either way
+// reopening replays only the tail since the last automatic checkpoint.
+template <class Map>
+void autoCheckpointRun(int workers) {
+  TempDir dir;
+  const OakConfig shard =
+      durableCfg(dir.str())
+          .withDur(DurConfig{}.withFsyncPolicy(dur::FsyncPolicy::Never).withWalBytes(4096))
+          .withMaintenance(maint::MaintenanceConfig{}.withThreads(workers));
+  std::map<std::string, std::string> oracle;
+  std::uint64_t logged = 0;
+  {
+    Map map(configFor<Map>(shard));
+    XorShift rng(chaosSeed());
+    for (int op = 0; op < 2000; ++op) {
+      const std::string k = padKey(static_cast<int>(rng.next() % 300));
+      if (rng.next() % 4 == 0) {
+        if (map.remove(bytes(k))) ++logged;
+        oracle.erase(k);
+      } else {
+        const std::string v = valueFor(op, 'a');
+        map.put(bytes(k), bytes(v));
+        oracle[k] = v;
+        ++logged;
+      }
+    }
+    map.drainMaintenance();
+    EXPECT_GE(map.stats().checkpoints, 1u);
+    map.syncWal();
+  }
+  Map map(configFor<Map>(shard));
+  EXPECT_LT(map.recoveryReplayedRecords(), logged);
+  EXPECT_EQ(map.sizeSlow(), oracle.size());
+  for (const auto& [k, v] : oracle) {
+    auto got = map.getCopy(bytes(k));
+    ASSERT_TRUE(got.has_value()) << k;
+    EXPECT_EQ(*got, toVec(bytes(v))) << k;
+  }
+  EXPECT_TRUE(structureValid(map));
+}
+
+DURABILITY_TEST(AutoCheckpoint, WalBudgetCheckpointsInline) { autoCheckpointRun<Map>(0); }
+
+DURABILITY_TEST(AutoCheckpoint, WalBudgetCheckpointsOnMaintenanceWorker) {
+  autoCheckpointRun<Map>(1);
 }
 
 TEST(TypedFacade, OpenRecoversAndExposesDurability) {
@@ -320,10 +421,10 @@ TEST(ShardedRecovery, LayoutSurvivesOnlineSplit) {
 
 // ============================================================= corruption
 
-TEST(Corruption, TornWalTailRecoversAcknowledgedPrefix) {
+DURABILITY_TEST(Corruption, TornWalTailRecoversAcknowledgedPrefix) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    Map map(durableCfgFor<Map>(dir.str()));
     for (int i = 0; i < 100; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'w')));
     }
@@ -336,19 +437,19 @@ TEST(Corruption, TornWalTailRecoversAcknowledgedPrefix) {
   const auto size = fs::file_size(seg);
   fs::resize_file(seg, size - 5);
 
-  OakCoreMap<> map(durableCfg(dir.str()));
+  Map map(durableCfgFor<Map>(dir.str()));
   EXPECT_EQ(map.recoveryReplayedRecords(), 99u);
   EXPECT_EQ(map.sizeSlow(), 99u);
   EXPECT_TRUE(map.containsKey(bytes(padKey(98))));
   EXPECT_FALSE(map.containsKey(bytes(padKey(99))));
-  EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
+  EXPECT_TRUE(structureValid(map));
 }
 
-TEST(Corruption, BitFlippedCheckpointDegradesToPreviousGeneration) {
+DURABILITY_TEST(Corruption, BitFlippedCheckpointDegradesToPreviousGeneration) {
   TempDir dir;
   std::uint64_t liveCp = 0;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    Map map(durableCfgFor<Map>(dir.str()));
     for (int i = 0; i < 100; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'g')));
     }
@@ -376,14 +477,14 @@ TEST(Corruption, BitFlippedCheckpointDegradesToPreviousGeneration) {
     f.seekp(64);
     f.write(&b, 1);
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  Map map(durableCfgFor<Map>(dir.str()));
   EXPECT_EQ(map.sizeSlow(), 120u) << "prev checkpoint + WAL replay must "
                                      "reconstruct every acknowledged write";
   EXPECT_GE(map.recoveryReplayedRecords(), 20u);
   for (int i = 0; i < 120; ++i) {
     EXPECT_TRUE(map.containsKey(bytes(padKey(i)))) << padKey(i);
   }
-  EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
+  EXPECT_TRUE(structureValid(map));
 }
 
 // ============================================================ kill drills
@@ -394,9 +495,10 @@ TEST(Corruption, BitFlippedCheckpointDegradesToPreviousGeneration) {
 
 constexpr char kDrillValueTag = 'k';
 
+template <class Map>
 [[noreturn]] void drillChild(const std::string& dir, int pipeFd,
                              bool checkpointEvery256) {
-  OakCoreMap<> map(durableCfg(dir, dur::FsyncPolicy::EveryCommit));
+  Map map(durableCfgFor<Map>(dir, dur::FsyncPolicy::EveryCommit));
   for (int i = 0;; ++i) {
     map.put(bytes(padKey(i)), bytes(valueFor(i, kDrillValueTag)));
     const std::uint32_t id = static_cast<std::uint32_t>(i);
@@ -408,6 +510,7 @@ constexpr char kDrillValueTag = 'k';
 }
 
 /// Runs one drill: returns the highest acknowledged key id (inclusive).
+template <class Map>
 int runKillDrill(const std::string& dir, int killAfterAcks,
                  bool checkpointEvery256) {
   int fds[2];
@@ -415,7 +518,7 @@ int runKillDrill(const std::string& dir, int killAfterAcks,
   const pid_t pid = ::fork();
   if (pid == 0) {
     ::close(fds[0]);
-    drillChild(dir, fds[1], checkpointEvery256);
+    drillChild<Map>(dir, fds[1], checkpointEvery256);
   }
   ::close(fds[1]);
   int lastAck = -1;
@@ -432,8 +535,9 @@ int runKillDrill(const std::string& dir, int killAfterAcks,
   return lastAck;
 }
 
+template <class Map>
 void expectAckedWritesRecovered(const std::string& dir, int lastAck) {
-  OakCoreMap<> map(durableCfg(dir));
+  Map map(durableCfgFor<Map>(dir));
   for (int i = 0; i <= lastAck; ++i) {
     auto v = map.getCopy(bytes(padKey(i)));
     ASSERT_TRUE(v.has_value()) << "acknowledged write lost: " << padKey(i);
@@ -443,30 +547,30 @@ void expectAckedWritesRecovered(const std::string& dir, int lastAck) {
   // recovered beyond the ack horizon must still be a value the child wrote.
   const std::size_t n = map.sizeSlow();
   EXPECT_GE(n, static_cast<std::size_t>(lastAck + 1));
-  EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
+  EXPECT_TRUE(structureValid(map));
   // Liveness: the recovered map takes new traffic.
   map.put(bytes(std::string("post-recovery")), bytes(std::string("ok")));
   EXPECT_TRUE(map.containsKey(bytes(std::string("post-recovery"))));
 }
 
-TEST(KillDrill, SigkillMidPutLosesNoAcknowledgedWrite) {
+DURABILITY_TEST(KillDrill, SigkillMidPutLosesNoAcknowledgedWrite) {
   TempDir dir;
   XorShift rng(chaosSeed());
   const int killAfter = 200 + static_cast<int>(rng.next() % 400);
-  const int lastAck = runKillDrill(dir.str(), killAfter, false);
+  const int lastAck = runKillDrill<Map>(dir.str(), killAfter, false);
   ASSERT_GE(lastAck, 0);
-  expectAckedWritesRecovered(dir.str(), lastAck);
+  expectAckedWritesRecovered<Map>(dir.str(), lastAck);
 }
 
-TEST(KillDrill, SigkillMidCheckpointLosesNoAcknowledgedWrite) {
+DURABILITY_TEST(KillDrill, SigkillMidCheckpointLosesNoAcknowledgedWrite) {
   TempDir dir;
   XorShift rng(chaosSeed() ^ 0x9e3779b97f4a7c15ull);
   // Land the kill window around the child's periodic checkpoints so some
   // runs die inside CheckpointWriter/manifest commit.
   const int killAfter = 256 + static_cast<int>(rng.next() % 512);
-  const int lastAck = runKillDrill(dir.str(), killAfter, true);
+  const int lastAck = runKillDrill<Map>(dir.str(), killAfter, true);
   ASSERT_GE(lastAck, 0);
-  expectAckedWritesRecovered(dir.str(), lastAck);
+  expectAckedWritesRecovered<Map>(dir.str(), lastAck);
 }
 
 // ================================================ kill-mid-compaction drill
@@ -498,6 +602,7 @@ std::string churnValue(int w, int j) {
          std::string(700, static_cast<char>('a' + (w + j) % 26));
 }
 
+template <class Map>
 [[noreturn]] void compactionDrillChild(const std::string& dir, int pipeFd) {
   mem::BlockPool pool({.blockBytes = 64u << 10, .budgetBytes = SIZE_MAX});
   // withMem() replaces the whole mem block, so it must come BEFORE
@@ -507,7 +612,7 @@ std::string churnValue(int w, int j) {
                  .withMem(MemConfig{}.withPool(&pool).withCompactionOccupancy(0.6))
                  .withStorageDir(dir)
                  .withDur(DurConfig{}.withFsyncPolicy(dur::FsyncPolicy::EveryCommit));
-  OakCoreMap<> map(cfg);
+  Map map(configFor<Map>(cfg));
   int stream = 0;
   for (int w = 0;; ++w) {
     for (int j = 0; j < kChurnPerWave; ++j) {
@@ -537,7 +642,7 @@ std::string churnValue(int w, int j) {
   }
 }
 
-TEST(KillDrill, SigkillMidCompactionRecoversPreOrPostMoveNeverTorn) {
+DURABILITY_TEST(KillDrill, SigkillMidCompactionRecoversPreOrPostMoveNeverTorn) {
   TempDir dir;
   XorShift rng(chaosSeed() ^ 0x5bf03635ull);
   // 3-8 churn waves (each one a full evacuation) before the kill lands.
@@ -548,7 +653,7 @@ TEST(KillDrill, SigkillMidCompactionRecoversPreOrPostMoveNeverTorn) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     ::close(fds[0]);
-    compactionDrillChild(dir.str(), fds[1]);
+    compactionDrillChild<Map>(dir.str(), fds[1]);
   }
   ::close(fds[1]);
   int lastAck = -1;
@@ -571,7 +676,7 @@ TEST(KillDrill, SigkillMidCompactionRecoversPreOrPostMoveNeverTorn) {
   EXPECT_GT(compactions, 0) << "no evacuation retired an arena before the "
                                "kill — the drill proved nothing";
 
-  OakCoreMap<> map(durableCfg(dir.str()));
+  Map map(durableCfgFor<Map>(dir.str()));
   // Acknowledged stream keys are never removed: each must survive bit-exact,
   // whichever arena its slice sat in when checkpoint or replay saw it.
   for (int i = 0; i <= lastAck; ++i) {
@@ -598,7 +703,7 @@ TEST(KillDrill, SigkillMidCompactionRecoversPreOrPostMoveNeverTorn) {
       }
     }
   }
-  EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
+  EXPECT_TRUE(structureValid(map));
   map.put(bytes(std::string("post-recovery")), bytes(std::string("ok")));
   EXPECT_TRUE(map.containsKey(bytes(std::string("post-recovery"))));
 }

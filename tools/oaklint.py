@@ -22,6 +22,11 @@ oaklint enforces the *protocol* rules layered on top of it:
       bypasses the allocator's liveness accounting and can name bytes that
       have since moved (detail::headerRef is the one blessed helper:
       pinned-domain value headers never relocate)
+  R8  no second durability path: under src/, only src/dur/ and the
+      durability lifecycle (src/oak/durability.hpp) may name dur::Wal,
+      dur::CheckpointWriter, dur::CheckpointReader, dur::Manifest,
+      dur::planRecovery or dur::replayWalSegment (tests/, bench/ and
+      perfbench/ drive dur directly and are out of scope)
 
 Engines:
   * libclang — AST-accurate; used when python3-clang is importable
@@ -56,6 +61,7 @@ RULES = {
     "R5": "blocking call inside an EBR guard",
     "R6": "raw version-stamp manipulation outside the MVCC layer",
     "R7": "packed-ref materialization outside the mem layer",
+    "R8": "durability machinery driven outside the durability lifecycle",
 }
 
 DEFAULT_ROOTS = ["src", "tests", "bench"]
@@ -68,8 +74,13 @@ MEM_LAYER = os.path.join("src", "mem") + os.sep
 # apply to src/oak/ (or src/mem/, which stores the stamped headers).
 OAK_LAYER = os.path.join("src", "oak") + os.sep
 
-ALLOW_RE = re.compile(r"oaklint:\s*allow\((R[1-7])\b")
-EXPECT_RE = re.compile(r"oaklint-expect:\s*(R[1-7])\b")
+# The WAL/checkpoint/recovery lifecycle: src/dur/ implements it, one
+# component drives it for both map front ends.  R8 keeps it that way.
+DUR_LAYER = os.path.join("src", "dur") + os.sep
+DUR_LIFECYCLE = os.path.join("src", "oak", "durability.hpp")
+
+ALLOW_RE = re.compile(r"oaklint:\s*allow\((R[1-8])\b")
+EXPECT_RE = re.compile(r"oaklint-expect:\s*(R[1-8])\b")
 
 SOURCE_EXTS = (".cpp", ".hpp", ".cc", ".hh", ".cxx", ".h")
 
@@ -138,6 +149,15 @@ def is_version_layer(path):
     return rel.startswith(MEM_LAYER) or rel.startswith(OAK_LAYER)
 
 
+def in_durability_scope(path):
+    """R8 covers src/ (minus the lifecycle itself) and its lint fixtures."""
+    rel = os.path.relpath(path, REPO)
+    if rel.startswith(FIXTURE_DIR):
+        return True
+    return (rel.startswith("src" + os.sep) and not rel.startswith(DUR_LAYER)
+            and rel != DUR_LIFECYCLE)
+
+
 ASSERTION_RE = re.compile(r"\b(?:EXPECT_|ASSERT_)[A-Z]+\w*\s*\(")
 
 
@@ -183,6 +203,12 @@ VERSION_ARITH_RE = re.compile(
 # R7: Ref::make (but not VRef::make — the value layer owns VRef) forges a
 # {block, offset} the allocator never handed out.
 REF_MAKE_RE = re.compile(r"(?<!V)\bRef::make\s*\(")
+# R8: the types and entry points that make up a durability path.
+DUR_PATH_RE = re.compile(
+    r"\bdur::(?:Wal|CheckpointWriter|CheckpointReader|Manifest|planRecovery|"
+    r"replayWalSegment)\b")
+R8_DETAIL = ("route WAL, checkpoint and recovery through detail::Durability"
+             " (oak/durability.hpp)")
 
 
 def strip_code(line, in_block_comment):
@@ -231,6 +257,7 @@ def textual_scan_file(path):
     mem_layer = is_mem_layer(path)
     env_gateway = is_env_gateway(path)
     version_layer = is_version_layer(path)
+    dur_scope = in_durability_scope(path)
 
     def active(kind):
         return any(g[0] == kind for g in guards)
@@ -259,6 +286,8 @@ def textual_scan_file(path):
         if not mem_layer and REF_MAKE_RE.search(code):
             flag("R7", "only the allocator mints refs — use the slice refs it"
                        " returned (or detail::headerRef for value headers)")
+        if dur_scope and DUR_PATH_RE.search(code):
+            flag("R8", R8_DETAIL)
         if not version_layer:
             if VERSION_FIELD_RE.search(code):
                 flag("R6", "raw writeVersion/dataVersion access — stamps are "
@@ -459,17 +488,21 @@ def libclang_scan_file_scoped(path, args_db):
                 os.path.abspath(top.location.file.name) == os.path.abspath(path):
             visit(top, 0, 0)
 
-    # R7 is a naming-boundary rule, not a dataflow property — the lexical
-    # check is exact, so both engines share it.
-    if not mem_layer:
-        in_block = False
-        for lineno, rawline in enumerate(lines, 1):
-            code, in_block = strip_code(rawline, in_block)
-            if REF_MAKE_RE.search(code) and "R7" not in allowed_rules(lines, lineno):
-                findings.append(Finding(
-                    path, lineno, "R7",
-                    "only the allocator mints refs — use the slice refs it"
-                    " returned (or detail::headerRef for value headers)"))
+    # R7 and R8 are naming-boundary rules, not dataflow properties — the
+    # lexical check is exact, so both engines share it.
+    dur_scope = in_durability_scope(path)
+    in_block = False
+    for lineno, rawline in enumerate(lines, 1):
+        code, in_block = strip_code(rawline, in_block)
+        if not mem_layer and REF_MAKE_RE.search(code) and \
+                "R7" not in allowed_rules(lines, lineno):
+            findings.append(Finding(
+                path, lineno, "R7",
+                "only the allocator mints refs — use the slice refs it"
+                " returned (or detail::headerRef for value headers)"))
+        if dur_scope and DUR_PATH_RE.search(code) and \
+                "R8" not in allowed_rules(lines, lineno):
+            findings.append(Finding(path, lineno, "R8", R8_DETAIL))
     return findings
 
 
