@@ -6,6 +6,7 @@
 // Scaled here ~1000x: fixed budget (default 384 MiB, OAK_BENCH_FIG3_RAM_MB)
 // and datasets 12.5K..300K pairs.  "OOM" rows are the capacity caps.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "benchcore/adapters.hpp"
@@ -19,10 +20,7 @@ int main() {
                                  225'000, 250'000, 275'000, 300'000, 325'000};
   if (const char* s = oak::env::raw("OAK_BENCH_FIG3_SIZES")) {
     sizes.clear();
-    for (const char* p = s; *p != '\0';) {
-      sizes.push_back(std::strtoull(p, const_cast<char**>(&p), 10));
-      while (*p == ' ') ++p;
-    }
+    for (const std::string& tok : splitList(s)) sizes.push_back(std::stoull(tok));
   }
 
   printHeader("Figure 3a", "ingestion throughput, fixed RAM, growing dataset");

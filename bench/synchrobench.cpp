@@ -18,15 +18,12 @@
 // point is named on stderr with the resource that ran out), so a sweep
 // never reports a 0 Mops point as success.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "benchcore/adapters.hpp"
@@ -79,7 +76,7 @@ void usage() {
       "  -a  <pct>    with -s: percentage of scans that run descending\n"
       "  -d  <ms>     duration per point\n"
       "  -L  <n>      scan length (default 1000)\n"
-      "  -m  <MiB>    total RAM budget (default 3x raw data)\n"
+      "  -m  <MiB>    total RAM budget (default 3x raw data, at least 64)\n"
       "  --shards <list>      Oak shard counts to sweep, e.g. \"1 4 8\" (default 1)\n"
       "  --buffer             use the zero-copy API\n"
       "  --stream-iteration   use the Stream scan API\n"
@@ -101,14 +98,17 @@ void usage() {
       "  --csv <file>         append rows as CSV\n"
       "\n"
       "  --scenario recovery runs the durability A/B instead of a mix sweep:\n"
-      "  in-memory vs WAL-on put latency, then checkpoint + tail + in-process\n"
-      "  reopen, emitting one machine-readable RECOVERY line (bench_smoke's\n"
-      "  cold-restart and put-p99 gates read it).\n"
+      "  ingests an in-memory map and a durable one (then checkpoints it),\n"
+      "  times paired put-only tail reps on both, alternating which runs\n"
+      "  first, then closes and reopens the durable map in-process.  Emits\n"
+      "  one machine-readable RECOVERY line (bench_smoke's cold-restart and\n"
+      "  put-p99 gates read it); put_p99_ratio is the median per-pair ratio.\n"
       "\n"
       "  --scenario compaction runs the relocation A/B: wave-shaped churn\n"
-      "  carves sparse arenas, then the same timed put stage runs with and\n"
-      "  without a continuous relocator, emitting one COMPACTION line\n"
-      "  (bench_smoke gates the put p99 ratio and the arena reclaim).\n");
+      "  carves sparse arenas in two maps, relocation off and armed, then\n"
+      "  paired churn-stage reps run on both, alternating which runs first.\n"
+      "  Emits one COMPACTION line (bench_smoke gates the median per-pair\n"
+      "  put p99 ratio and the arena reclaim).\n");
 }
 
 void applyScenario(Options& o) {
@@ -210,6 +210,23 @@ Mix mixFor(const Options& o) {
   return m;
 }
 
+/// The point's BenchConfig as the command line sets it; the scenarios
+/// override what they fix themselves.
+BenchConfig configFor(const Options& o, unsigned threads, std::size_t shards) {
+  BenchConfig cfg;
+  cfg.keyRange = o.size;
+  cfg.keyBytes = o.keySize;
+  cfg.valueBytes = o.valueSize;
+  cfg.threads = threads;
+  cfg.durationMs = o.durationMs;
+  cfg.scanLength = o.scanLength;
+  cfg.shards = shards;
+  cfg.offHeapSlackPct = o.offHeapSlackPct;
+  cfg.generationalValues = o.generationalValues;
+  cfg.maintThreads = o.maintThreads;
+  return cfg;
+}
+
 /// Runs every (shards, threads) point of one competitor; returns how many
 /// points ran out of memory.
 template <class Adapter, class... Args>
@@ -220,18 +237,12 @@ int runBench(const Options& o, const std::string& bench,
   if (!o.csvPath.empty()) csv.open(o.csvPath, std::ios::app);
   for (std::size_t sh : shards) {
     for (unsigned t : o.threads) {
-      BenchConfig cfg;
-      cfg.keyRange = o.size;
-      cfg.keyBytes = o.keySize;
-      cfg.valueBytes = o.valueSize;
-      cfg.threads = t;
-      cfg.durationMs = o.durationMs;
-      cfg.scanLength = o.scanLength;
-      cfg.shards = sh;
-      cfg.offHeapSlackPct = o.offHeapSlackPct;
-      cfg.generationalValues = o.generationalValues;
-      cfg.maintThreads = o.maintThreads;
-      cfg.totalRamBytes = o.ramMb != 0 ? (o.ramMb << 20) : cfg.rawDataBytes() * 3;
+      BenchConfig cfg = configFor(o, t, sh);
+      // Auto budget: 3x raw (Fig. 4's ratio), floored so that at a tiny -i
+      // the heap's share still holds the chunk metadata.
+      cfg.totalRamBytes = o.ramMb != 0
+                              ? (o.ramMb << 20)
+                              : std::max(cfg.rawDataBytes() * 3, std::size_t{64} << 20);
       if (!o.storageDir.empty() && bench == "OakMap") {
         // Each point gets a fresh subtree so a sweep never recovers the
         // previous point's data (repeats inside one point still share it —
@@ -291,74 +302,55 @@ int runAll(const Options& o) {
   return failed;
 }
 
-// ------------------------------------------------- recovery scenario
-// Durability A/B + cold-restart measurement (ISSUE 9).  Not a mix sweep:
-// one in-memory leg for the baseline put latency, then a durable leg that
-// ingests the full range, checkpoints, writes a WAL tail (the same timed
-// put stage that yields the with-WAL latency), closes the map, and times
-// an in-process reopen.  Emits one RECOVERY line; bench_smoke gates
-// put-p99-with-WAL against the baseline and the reopen against re-ingest.
+// ------------------------------------------------- paired scenarios
+// The recovery and compaction scenarios are put-latency A/Bs, not mix
+// sweeps.  Each prepares both of its maps up front, then benchcore's
+// pairedAB interleaves op-bounded, put-sampled sustainedStage reps on the
+// two, alternating which side runs first.  Percentiles are exact (every
+// sampled put), unlike the bucketed histogram in the METRICS line: the gates
+// want both sides measured identically and precisely.
 
-struct PutLat {
-  double p50Ns = 0;
-  double p99Ns = 0;
-  std::uint64_t ops = 0;
-};
+/// Stage reps per side of a paired A/B.
+constexpr int kPairedReps = 5;
 
-/// cfg.threads workers, `total` overwrite puts of random in-range keys,
-/// every op latency sampled (these are exact percentiles, unlike the
-/// bucketed histogram in the METRICS line — the A/B gate wants the two
-/// legs measured identically and precisely).
-PutLat timedPutStage(OakAdapter& a, const BenchConfig& cfg, std::size_t total) {
-  const unsigned nThreads = cfg.threads == 0 ? 1 : cfg.threads;
-  const std::size_t perThread = (total + nThreads - 1) / nThreads;
-  std::vector<std::vector<double>> ns(nThreads);
-  std::atomic<bool> start{false};
-  auto worker = [&](unsigned t) {
-    oak::XorShift rng(cfg.seed * 31337 + t * 7919 + 13);
-    std::vector<std::byte> key(cfg.keyBytes);
-    std::vector<std::byte> value(cfg.valueBytes < 8 ? 8 : cfg.valueBytes,
-                                 std::byte{0x33});
-    ns[t].reserve(perThread);
-    while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
-    for (std::size_t i = 0; i < perThread; ++i) {
-      const std::uint64_t id = rng.nextBounded(cfg.keyRange);
-      makeKey({key.data(), key.size()}, id);
-      oak::storeUnaligned<std::uint64_t>(value.data(), id);
-      const auto t0 = std::chrono::steady_clock::now();
-      a.put({key.data(), key.size()}, {value.data(), value.size()});
-      ns[t].push_back(std::chrono::duration<double, std::nano>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(nThreads);
-  for (unsigned t = 0; t < nThreads; ++t) threads.emplace_back(worker, t);
-  start.store(true, std::memory_order_release);
-  for (auto& th : threads) th.join();
-  const ExactPercentiles pct = exactPercentiles(ns);
-  return PutLat{pct.p50, pct.p99, pct.samples};
+/// One rep of `mix` on `a`, seeded per rep so each pair replays the same
+/// key sequence on both sides.  Adds the rep's ChunkWalker problems to
+/// `verrors` and reports an OOM on stderr.
+ExactPercentiles pairedRep(OakAdapter& a, const BenchConfig& cfg, const Mix& mix,
+                           int rep, const char* scenario, std::size_t& verrors,
+                           bool& oom) {
+  BenchConfig c = cfg;
+  c.seed += static_cast<std::uint64_t>(rep);
+  const PointResult r = sustainedStage(a, c, mix);
+  verrors += r.validationErrors;
+  if (r.oom) {
+    std::fprintf(stderr, "%s bench: stage rep %d ran out of memory (%s)\n",
+                 scenario, rep, oomKindName(r.oomKind));
+    oom = true;
+  }
+  return r.put;
 }
 
+// ------------------------------------------------- recovery scenario
+// Durability A/B + cold-restart measurement.  An in-memory map and a
+// durable one (mmap arenas + WAL) both ingest the full range, and the
+// durable one checkpoints.  Paired tail reps of random overwrite puts then
+// time the put path without and with the WAL; every durable tail put lands
+// in the WAL past the checkpoint.  Finally the durable map is closed and
+// reopened in-process, which replays exactly that tail.  Emits one RECOVERY
+// line; bench_smoke gates put-p99-with-WAL against the baseline and the
+// reopen against re-ingest.
 int runRecovery(const Options& o) {
   namespace fs = std::filesystem;
-  using Clock = std::chrono::steady_clock;
-  auto msSince = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  };
+  auto msSince = [](double t0) { return (nowSeconds() - t0) * 1e3; };
 
-  BenchConfig cfg;
-  cfg.keyRange = o.size;
-  cfg.keyBytes = o.keySize;
-  cfg.valueBytes = o.valueSize;
-  cfg.threads = o.threads.empty() ? 1 : o.threads.front();
-  cfg.shards = o.shards.empty() ? 1 : o.shards.front();
+  BenchConfig cfg = configFor(
+      o, o.threads.empty() || o.threads.front() == 0 ? 1 : o.threads.front(),
+      o.shards.empty() ? 1 : o.shards.front());
   // Checkpoints retain a pinned snapshot while overwrites keep landing, so
   // the arena briefly holds both versions of the hottest values.
   cfg.offHeapSlackPct = o.offHeapSlackPct < 50 ? 50 : o.offHeapSlackPct;
   cfg.generationalValues = true;
-  cfg.maintThreads = o.maintThreads;
   // Auto budget: 3x raw, floored so the heap share (splitRam keeps >= 1/8
   // for metadata) still fits the GC's committed headroom at small -i.
   cfg.totalRamBytes = o.ramMb != 0
@@ -367,11 +359,19 @@ int runRecovery(const Options& o) {
                                      std::size_t{256} << 20);
 
   const std::size_t pairs = cfg.keyRange;
-  // The WAL tail doubles as the timed put stage; keep it a strict subset of
-  // the range so recovery provably replays less than it bulk-loads.
-  std::size_t tail = envSize("OAK_BENCH_RECOVERY_TAIL", pairs / 20);
+  // The WAL tail is the timed put stage, split over the paired reps; keep
+  // it a strict subset of the range so recovery provably replays less than
+  // it bulk-loads.  The first quarter of each rep's puts is warm-up: at a
+  // few thousand puts per rep, the cold start of each rep's fresh threads
+  // would otherwise reach the p99.
+  std::size_t tail = pairs / 20;
   if (tail < 1000) tail = 1000;
   if (tail >= pairs) tail = pairs / 2 + 1;
+  const std::size_t tailPerRep = (tail + kPairedReps - 1) / kPairedReps;
+  Mix tailMix;
+  tailMix.putPct = 100;
+  tailMix.opsPerThread = (tailPerRep + cfg.threads - 1) / cfg.threads;
+  const std::uint64_t tailPuts = kPairedReps * cfg.threads * tailMix.opsPerThread;
 
   std::string dir = o.storageDir;
   if (dir.empty()) {
@@ -385,66 +385,70 @@ int runRecovery(const Options& o) {
               pairs, cfg.keyBytes, cfg.valueBytes, cfg.threads, cfg.shards,
               o.fsyncPolicy.c_str(), dir.c_str());
 
-  // ---- leg 1: in-memory baseline put latency
-  PutLat base;
-  double memIngestKops = 0;
-  {
-    OakAdapter a(cfg);
-    OomKind kind = OomKind::None;
-    if (!ingestStage(a, cfg, pairs, &memIngestKops, &kind)) {
-      std::fprintf(stderr, "recovery bench: baseline ingest OOM (%s)\n",
-                   oomKindName(kind));
-      return 1;
-    }
-    base = timedPutStage(a, cfg, tail);
-  }
-  std::printf("recovery bench: baseline ingest %.1f Kops, put p50 %.0fns p99 %.0fns\n",
-              memIngestKops, base.p50Ns, base.p99Ns);
-
-  // ---- leg 2: durable — ingest, checkpoint, WAL tail, close
+  // ---- prepare: in-memory baseline (A), durable ingest + checkpoint (B)
   BenchConfig dcfg = cfg;
   dcfg.storageDir = dir;
   dcfg.fsyncPolicy = o.fsyncPolicy;
-  double ingestKops = 0, ingestMs = 0, checkpointMs = 0, closeMs = 0;
-  std::uint64_t cpPairs = 0, walAppends = 0, walBytes = 0, checkpoints = 0;
-  PutLat wal;
-  std::size_t verrors = 0;
-  {
-    auto a = std::make_unique<OakAdapter>(dcfg);
-    auto t0 = Clock::now();
-    OomKind kind = OomKind::None;
-    if (!ingestStage(*a, dcfg, pairs, &ingestKops, &kind)) {
-      std::fprintf(stderr, "recovery bench: durable ingest OOM (%s)\n",
-                   oomKindName(kind));
-      return 1;
-    }
-    ingestMs = msSince(t0);
-    t0 = Clock::now();
-    cpPairs = a->checkpointNow();
-    checkpointMs = msSince(t0);
-    wal = timedPutStage(*a, dcfg, tail);
-    a->syncWal();
-    const oak::obs::Metrics m = a->metrics();
-    walAppends = m.walAppends;
-    walBytes = m.walBytes;
-    checkpoints = m.checkpoints;
-    if (validationEnabled()) verrors += a->validateStructure();
-    t0 = Clock::now();
-    a.reset();  // destructor unmaps the arenas and closes the WAL fd
-    closeMs = msSince(t0);
+  auto mem = std::make_unique<OakAdapter>(cfg);
+  double memIngestKops = 0;
+  OomKind kind = OomKind::None;
+  if (!ingestStage(*mem, cfg, pairs, &memIngestKops, &kind)) {
+    std::fprintf(stderr, "recovery bench: baseline ingest OOM (%s)\n",
+                 oomKindName(kind));
+    return 1;
   }
-  std::printf("recovery bench: durable ingest %.1f Kops (%.0fms), checkpoint "
-              "%llu pairs in %.0fms, tail %llu puts p50 %.0fns p99 %.0fns\n",
-              ingestKops, ingestMs,
-              static_cast<unsigned long long>(cpPairs), checkpointMs,
-              static_cast<unsigned long long>(wal.ops), wal.p50Ns, wal.p99Ns);
+  auto dur = std::make_unique<OakAdapter>(dcfg);
+  double t0 = nowSeconds();
+  double ingestKops = 0;
+  if (!ingestStage(*dur, dcfg, pairs, &ingestKops, &kind)) {
+    std::fprintf(stderr, "recovery bench: durable ingest OOM (%s)\n",
+                 oomKindName(kind));
+    return 1;
+  }
+  const double ingestMs = msSince(t0);
+  t0 = nowSeconds();
+  const std::uint64_t cpPairs = dur->checkpointNow();
+  const double checkpointMs = msSince(t0);
 
-  // ---- leg 3: cold restart — reopen the same directory in-process
+  // ---- paired tail reps: in-memory vs WAL-on puts.  Both maps stay
+  // resident, so each rep starts with both quiesced (version GC run,
+  // maintenance queues drained): neither side's background work may run
+  // while the other side is timed.
+  std::size_t verrors = 0;
+  bool oom = false;
+  auto quiesceBoth = [&] {
+    for (OakAdapter* m : {mem.get(), dur.get()}) {
+      m->collectVersionsNow();
+      m->drainMaintenance();
+      m->quiesce();
+    }
+  };
+  const PairedAB ab = pairedAB(
+      kPairedReps,
+      [&](int rep) {
+        quiesceBoth();
+        return pairedRep(*mem, cfg, tailMix, rep, "recovery", verrors, oom);
+      },
+      [&](int rep) {
+        quiesceBoth();
+        return pairedRep(*dur, dcfg, tailMix, rep, "recovery", verrors, oom);
+      });
+  mem.reset();
+
+  // ---- close the durable map
+  dur->syncWal();
+  const oak::obs::Metrics m = dur->metrics();
+  if (validationEnabled()) verrors += dur->validateStructure();
+  t0 = nowSeconds();
+  dur.reset();  // destructor unmaps the arenas and closes the WAL fd
+  const double closeMs = msSince(t0);
+
+  // ---- cold restart: reopen the same directory in-process
   double reopenMs = 0;
   std::uint64_t replayed = 0, recoveryMs = 0;
   std::size_t finalSize = 0;
   {
-    const auto t0 = Clock::now();
+    t0 = nowSeconds();
     OakAdapter a(dcfg);
     reopenMs = msSince(t0);
     replayed = a.recoveryReplayedRecords();
@@ -452,11 +456,6 @@ int runRecovery(const Options& o) {
     finalSize = a.finalSize();
     if (validationEnabled()) verrors += a.validateStructure();
   }
-  const double ratio = base.p99Ns > 0 ? wal.p99Ns / base.p99Ns : 0;
-  std::printf("recovery bench: reopen %.0fms (recovery %llums, %llu WAL "
-              "records replayed), final size %zu, p99 ratio %.3f\n",
-              reopenMs, static_cast<unsigned long long>(recoveryMs),
-              static_cast<unsigned long long>(replayed), finalSize, ratio);
 
   std::printf(
       "RECOVERY {\"pairs\":%zu,\"tail_puts\":%llu,\"threads\":%u,"
@@ -465,69 +464,44 @@ int runRecovery(const Options& o) {
       "\"base_put_p99_ns\":%.0f,"
       "\"wal_ingest_kops\":%.1f,\"wal_ingest_ms\":%.0f,"
       "\"wal_put_p50_ns\":%.0f,\"wal_put_p99_ns\":%.0f,"
-      "\"put_p99_ratio\":%.4f,"
+      "\"put_p99_ratio\":%.4f,\"put_p99_ratio_spread\":%.4f,"
       "\"checkpoint_pairs\":%llu,\"checkpoint_ms\":%.0f,"
       "\"checkpoints\":%llu,\"wal_appends\":%llu,\"wal_bytes\":%llu,"
       "\"close_ms\":%.0f,\"reopen_ms\":%.0f,\"recovery_ms\":%llu,"
       "\"replayed_records\":%llu,\"final_size\":%zu,"
       "\"validation_errors\":%zu}\n",
-      pairs, static_cast<unsigned long long>(wal.ops), cfg.threads, cfg.shards,
-      cfg.valueBytes, o.fsyncPolicy.c_str(), memIngestKops, base.p50Ns,
-      base.p99Ns, ingestKops, ingestMs, wal.p50Ns, wal.p99Ns, ratio,
+      pairs, static_cast<unsigned long long>(tailPuts), cfg.threads, cfg.shards,
+      cfg.valueBytes, o.fsyncPolicy.c_str(), memIngestKops, ab.a.p50, ab.a.p99,
+      ingestKops, ingestMs, ab.b.p50, ab.b.p99, ab.ratio, ab.ratioSpread,
       static_cast<unsigned long long>(cpPairs), checkpointMs,
-      static_cast<unsigned long long>(checkpoints),
-      static_cast<unsigned long long>(walAppends),
-      static_cast<unsigned long long>(walBytes), closeMs, reopenMs,
+      static_cast<unsigned long long>(m.checkpoints),
+      static_cast<unsigned long long>(m.walAppends),
+      static_cast<unsigned long long>(m.walBytes), closeMs, reopenMs,
       static_cast<unsigned long long>(recoveryMs),
       static_cast<unsigned long long>(replayed), finalSize, verrors);
   std::fflush(stdout);
-  return verrors == 0 ? 0 : 1;
+  return verrors == 0 && !oom ? 0 : 1;
 }
 
 // ------------------------------------------------- compaction scenario
-// Relocation A/B (DESIGN.md §13).  Not a mix sweep: both legs run the same
-// wave-shaped churn — bulk put the whole range with jittered sizes, bulk
-// remove 4/5.  That is the shape that actually carves arenas below the
-// occupancy threshold; steady interleaved churn never does, because
-// first-fit refills the holes as fast as removes open them.  The final
-// wave's puts are latency-sampled (exact percentiles, like the recovery
-// A/B).  Leg A runs with relocation off — the put baseline and the
-// no-evacuation arena high-water mark.  Leg B runs the identical workload
-// with background compaction enabled, so the sampled puts race the
-// evacuation passes the earlier waves' garbage triggers; afterwards it
+// Relocation A/B (DESIGN.md §13).  Both maps run the same wave-shaped
+// churn — bulk put the whole range with jittered sizes, bulk remove 4/5.
+// That is the shape that actually carves arenas below the occupancy
+// threshold; steady interleaved churn never does, because first-fit
+// refills the holes as fast as removes open them.  Map A runs with
+// relocation off — the put baseline and the no-evacuation arena high-water
+// mark.  Map B runs with background compaction armed, so its sampled puts
+// race the evacuation passes the waves' garbage triggers; afterwards it
 // settles with explicit compactNow() rounds and reports the reclaimed
-// arena count.  Emits one COMPACTION line; bench_smoke gates the put p99
-// ratio and that evacuation really moved slices and retired arenas.
+// arena count.  Emits one COMPACTION line; bench_smoke gates the paired
+// put p99 ratio and that evacuation really moved slices and retired arenas.
 
-struct CompactionLeg {
-  PutLat put;                           ///< sampled steady-state churn
-  std::uint64_t arenaBlocksAfter = 0;   ///< after settling
-  std::uint64_t footprintAfter = 0;
-  std::size_t retired = 0;              ///< arenas retired by compactNow
-  std::uint64_t evacRuns = 0;
-  std::uint64_t arenasEvacuated = 0;
-  std::uint64_t slicesRelocated = 0;
-  std::uint64_t bytesRelocated = 0;
-  std::size_t verrors = 0;
-};
+/// Churn waves before the sampled reps.
+constexpr int kCompactionWaves = 3;
 
-// One leg's full lifecycle: ingest, churn waves, sampled stage reps,
-// settle.  Both legs are constructed up-front and their sampled reps
-// interleave A/B/A/B so host-load drift lands on both alike — the
-// sequential design (all of A, then all of B, seconds apart) showed 2x
-// ratio swings that were nothing but the box changing gear between legs.
-class CompactionRun {
- public:
-  CompactionRun(const BenchConfig& cfg, int waves)
-      : cfg_(cfg),
-        waves_(waves),
-        a_(cfg),
-        key_(cfg.keyBytes),
-        jitterStep_(cfg.valueBytes / 8 < 8 ? 8 : cfg.valueBytes / 8),
-        value_(cfg.valueBytes / 2 + 8 * jitterStep_, std::byte{0x44}),
-        rng_(cfg.seed * 104729 + 17) {}
-
-  CompactionLeg leg;
+// One map's lifecycle: ingest, churn waves, paired stage reps, settle.
+struct CompactionRun {
+  explicit CompactionRun(const BenchConfig& c) : cfg(c), a(c) {}
 
   // Ingest + churn waves: every id gets a fresh jittered-size value
   // (resize = free + alloc), then 4/5 of the range is bulk-removed.  The
@@ -537,155 +511,84 @@ class CompactionRun {
   bool prepare() {
     double ingestKops = 0;
     OomKind kind = OomKind::None;
-    if (!ingestStage(a_, cfg_, cfg_.keyRange / 2, &ingestKops, &kind)) {
+    if (!ingestStage(a, cfg, cfg.keyRange / 2, &ingestKops, &kind)) {
       std::fprintf(stderr, "compaction bench: ingest OOM (%s)\n",
                    oomKindName(kind));
-      leg.verrors = 1;
+      oom = true;
       return false;
     }
-    for (int w = 0; w < waves_; ++w) {
-      for (std::uint64_t id = 0; id < cfg_.keyRange; ++id) {
-        makeKey({key_.data(), key_.size()}, id);
-        std::size_t vlen =
-            cfg_.valueBytes / 2 + jitterStep_ * rng_.nextBounded(9);
+    std::vector<std::byte> key(cfg.keyBytes);
+    const std::size_t jitterStep = cfg.valueBytes / 8 < 8 ? 8 : cfg.valueBytes / 8;
+    std::vector<std::byte> value(cfg.valueBytes / 2 + 8 * jitterStep, std::byte{0x44});
+    oak::XorShift rng(cfg.seed * 104729 + 17);
+    for (int w = 0; w < kCompactionWaves; ++w) {
+      for (std::uint64_t id = 0; id < cfg.keyRange; ++id) {
+        makeKey({key.data(), key.size()}, id);
+        std::size_t vlen = cfg.valueBytes / 2 + jitterStep * rng.nextBounded(9);
         if (vlen < 8) vlen = 8;
-        oak::storeUnaligned<std::uint64_t>(value_.data(), id);
-        a_.put({key_.data(), key_.size()}, {value_.data(), vlen});
+        oak::storeUnaligned<std::uint64_t>(value.data(), id);
+        a.put({key.data(), key.size()}, {value.data(), vlen});
       }
-      for (std::uint64_t id = 0; id < cfg_.keyRange; ++id) {
+      for (std::uint64_t id = 0; id < cfg.keyRange; ++id) {
         if ((id + static_cast<std::uint64_t>(w)) % 5 == 0) continue;
-        makeKey({key_.data(), key_.size()}, id);
-        a_.remove({key_.data(), key_.size()});
+        makeKey({key.data(), key.size()}, id);
+        a.remove({key.data(), key.size()});
       }
-      drain(true);
+      drain();
     }
     return true;
   }
 
-  // Sampled stage: steady-state churn (put/remove/get, jittered sizes) on
-  // cfg.threads mutators with the relocator still armed.  Steady churn
-  // keeps arenas dense — first-fit refills holes as fast as removes open
-  // them — so the armed trigger mostly declines after its occupancy probe
-  // and only occasionally finds a real victim; the sampled puts measure
-  // that product steady state, against leg A's identical mix on a
-  // fragmented, never-compacted map.  The first quarter of each worker's
-  // ops is warm-up: evacuation flushed the size-class magazines, and the
-  // refill transient is not the cost the gate is after.
-  PutLat stageRep(int rep) {
-    const unsigned nThreads = cfg_.threads == 0 ? 1 : cfg_.threads;
-    const std::uint64_t opsPerThread = 4 * cfg_.keyRange / nThreads;
-    std::vector<std::vector<double>> ns(nThreads);
-    std::atomic<bool> start{false};
-    auto mutator = [&](unsigned t) {
-      oak::XorShift trng(cfg_.seed * 7919 + t * 104729 +
-                         static_cast<std::uint64_t>(rep) * 15485863 + 31);
-      std::vector<std::byte> tkey(cfg_.keyBytes);
-      std::vector<std::byte> tvalue(value_.size(), std::byte{0x44});
-      ns[t].reserve(opsPerThread / 2);
-      const std::uint64_t warm = opsPerThread / 4;
-      while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (std::uint64_t i = 0; i < opsPerThread; ++i) {
-        const std::uint64_t id = trng.nextBounded(cfg_.keyRange);
-        makeKey({tkey.data(), tkey.size()}, id);
-        const oak::ByteSpan k{tkey.data(), tkey.size()};
-        const auto pct = trng.nextBounded(100);
-        if (pct < 50) {
-          std::size_t vlen =
-              cfg_.valueBytes / 2 + jitterStep_ * trng.nextBounded(9);
-          if (vlen < 8) vlen = 8;
-          oak::storeUnaligned<std::uint64_t>(tvalue.data(), id);
-          if (i >= warm) {
-            const auto t0 = std::chrono::steady_clock::now();
-            a_.put(k, {tvalue.data(), vlen});
-            ns[t].push_back(std::chrono::duration<double, std::nano>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count());
-          } else {
-            a_.put(k, {tvalue.data(), vlen});
-          }
-        } else if (pct < 80) {
-          a_.remove(k);
-        } else {
-          Blackhole bh;
-          a_.get(k, bh);
-        }
-      }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(nThreads);
-    for (unsigned t = 0; t < nThreads; ++t) threads.emplace_back(mutator, t);
-    start.store(true, std::memory_order_release);
-    for (auto& th : threads) th.join();
-    const ExactPercentiles pct = exactPercentiles(ns);
-    drain(true);
-    return PutLat{pct.p50, pct.p99, pct.samples};
+  ExactPercentiles stageRep(const Mix& mix, int rep) {
+    const ExactPercentiles p = pairedRep(a, cfg, mix, rep, "compaction", verrors, oom);
+    drain();
+    return p;
   }
 
-  // Leg B catches up at quiescent points — the off-hot-path slot the
+  // Map B catches up at quiescent points — the off-hot-path slot the
   // background service targets.  The bulk of the relocation work happens
   // here, between waves and stage reps, exactly as deployed: evacuation
   // fires when occupancy probes find whole arenas of slack, not raced
   // head-to-head against every put.
-  void drain(bool catchUp) {
-    a_.collectVersionsNow();
-    a_.quiesce();
-    if (catchUp && cfg_.compaction) {
-      for (int r = 0; r < 2; ++r) leg.retired += a_.compactNow();
+  void drain() {
+    a.collectVersionsNow();
+    a.quiesce();
+    if (cfg.compaction) {
+      for (int r = 0; r < 2; ++r) retired += a.compactNow();
     }
   }
 
-  void settleAndSnapshot() {
-    if (cfg_.compaction) {
+  void settle() {
+    if (cfg.compaction) {
       // Settle: quiescent relocation passes so the final footprint is
       // deterministic (the background trigger is amortized and may not
       // have caught the last rep's garbage yet).
-      for (int r = 0; r < 4; ++r) leg.retired += a_.compactNow();
+      for (int r = 0; r < 4; ++r) retired += a.compactNow();
     }
-    a_.quiesce();
-    const oak::obs::Metrics m = a_.metrics();
-    leg.arenaBlocksAfter = m.alloc.arenaBlocks;
-    leg.footprintAfter = m.alloc.footprintBytes;
-    leg.evacRuns = m.registry.counter(oak::obs::Counter::EvacuationRuns);
-    leg.arenasEvacuated =
-        m.registry.counter(oak::obs::Counter::ArenasEvacuated);
-    leg.slicesRelocated =
-        m.registry.counter(oak::obs::Counter::SlicesRelocated);
-    leg.bytesRelocated = m.registry.counter(oak::obs::Counter::BytesRelocated);
-    if (validationEnabled()) leg.verrors += a_.validateStructure();
+    a.quiesce();
+    after = a.metrics();
+    if (validationEnabled()) verrors += a.validateStructure();
   }
 
- private:
-  BenchConfig cfg_;
-  int waves_;
-  OakAdapter a_;
-  std::vector<std::byte> key_;
-  std::size_t jitterStep_;
-  std::vector<std::byte> value_;
-  oak::XorShift rng_;
+  BenchConfig cfg;
+  OakAdapter a;
+  std::size_t retired = 0;  ///< arenas retired by compactNow
+  std::size_t verrors = 0;
+  bool oom = false;
+  oak::obs::Metrics after{};  ///< snapshot after settling
 };
 
-/// Median-p99 rep of a leg's stage measurements.
-PutLat medianByP99(std::vector<PutLat> lats) {
-  std::sort(lats.begin(), lats.end(),
-            [](const PutLat& x, const PutLat& y) { return x.p99Ns < y.p99Ns; });
-  return lats[lats.size() / 2];
-}
-
 int runCompaction(const Options& o) {
-  BenchConfig cfg;
-  cfg.keyRange = o.size;
-  cfg.keyBytes = o.keySize;
-  cfg.valueBytes = o.valueSize;
-  cfg.threads = o.threads.empty() ? 2 : o.threads.front();
-  cfg.shards = o.shards.empty() ? 1 : o.shards.front();
-  cfg.maintThreads = o.maintThreads;
+  BenchConfig cfg = configFor(
+      o, o.threads.empty() ? 2 : std::max(1u, o.threads.front()),
+      o.shards.empty() ? 1 : o.shards.front());
   cfg.generationalValues = true;
   // Pace background evacuation through the maintenance rate limiter (each
   // queued evacuation run declares 1 MiB): the gate certifies the armed,
   // paced relocator the product ships, not an unthrottled storm racing the
-  // sampled wave.  Catch-up and settle passes call compactNow() directly
+  // sampled stage.  Catch-up and settle passes call compactNow() directly
   // and stay unthrottled.
-  cfg.maintRateLimitBytesPerSec = envSize("OAK_BENCH_COMPACTION_RATE", 1u << 20);
+  cfg.maintRateLimitBytesPerSec = 1u << 20;
   // Evacuation scores whole blocks; 1 MiB arenas give it real granularity
   // at smoke scale (an 8 MiB block hosts the entire surviving live set and
   // never drops below the threshold).
@@ -696,105 +599,66 @@ int runCompaction(const Options& o) {
   cfg.offHeapSlackPct = 150;
   cfg.totalRamBytes = std::max(cfg.rawDataBytes() * 4, std::size_t{256} << 20);
 
-  const int waves = static_cast<int>(envSize("OAK_BENCH_COMPACTION_WAVES", 3));
-
   std::printf("compaction bench: %zu keys (%zuB keys, %zuB values), %d waves "
-              "(last one latency-sampled), %zu shard(s), %zuKiB blocks\n",
-              cfg.keyRange, cfg.keyBytes, cfg.valueBytes, waves, cfg.shards,
-              cfg.blockBytes >> 10);
+              "then %d paired stage reps, %zu shard(s), %zuKiB blocks\n",
+              cfg.keyRange, cfg.keyBytes, cfg.valueBytes, kCompactionWaves,
+              kPairedReps, cfg.shards, cfg.blockBytes >> 10);
 
-  // Leg A: relocation off — the put-latency baseline and the
-  // no-evacuation arena high-water mark.  Leg B: identical churn with
-  // background compaction on.  Both maps are prepared first, then the
-  // sampled reps alternate A/B so a host-load shift hits both legs.
-  BenchConfig base = cfg;
-  base.compaction = false;
+  // Steady-state churn (put/remove/get, jittered sizes) on cfg.threads
+  // mutators with the relocator still armed.  Steady churn keeps arenas
+  // dense — first-fit refills holes as fast as removes open them — so the
+  // armed trigger mostly declines after its occupancy probe and only
+  // occasionally finds a real victim; the sampled puts measure that product
+  // steady state, against map A's identical mix on a fragmented,
+  // never-compacted map.  The first quarter of each worker's ops is
+  // warm-up: evacuation flushed the size-class magazines, and the refill
+  // transient is not the cost the gate is after.
+  Mix mix;
+  mix.putPct = 50;
+  mix.removePct = 30;
+  mix.valueJitter = true;
+  mix.opsPerThread = 4 * cfg.keyRange / cfg.threads;
+
+  // A: relocation off.  B: background compaction armed.
   BenchConfig on = cfg;
   on.compaction = true;
-  CompactionRun runA(base, waves);
-  CompactionRun runB(on, waves);
-  double pairedRatio = 0;
-  if (runA.prepare() && runB.prepare()) {
-    const int reps =
-        static_cast<int>(envSize("OAK_BENCH_COMPACTION_REPS", 5));
-    std::vector<PutLat> latsA, latsB;
-    std::vector<double> repRatios;
-    for (int rep = 0; rep < reps; ++rep) {
-      latsA.push_back(runA.stageRep(rep));
-      latsB.push_back(runB.stageRep(rep));
-      if (latsA.back().p99Ns > 0) {
-        repRatios.push_back(latsB.back().p99Ns / latsA.back().p99Ns);
-      }
-    }
-    runA.leg.put = medianByP99(std::move(latsA));
-    runB.leg.put = medianByP99(std::move(latsB));
-    if (!repRatios.empty()) {
-      // Gate on the median of the per-rep ratios: each rep's A and B
-      // stages run back-to-back, so a host-load shift cancels within the
-      // pair instead of skewing one leg's whole median.
-      std::sort(repRatios.begin(), repRatios.end());
-      pairedRatio = repRatios[repRatios.size() / 2];
-    }
-    runA.settleAndSnapshot();
-    runB.settleAndSnapshot();
+  CompactionRun a(cfg);
+  CompactionRun b(on);
+  PairedAB ab;
+  if (a.prepare() && b.prepare()) {
+    ab = pairedAB(
+        kPairedReps, [&](int rep) { return a.stageRep(mix, rep); },
+        [&](int rep) { return b.stageRep(mix, rep); });
+    a.settle();
+    b.settle();
   }
-  const CompactionLeg& a = runA.leg;
-  const CompactionLeg& b = runB.leg;
-  std::printf("compaction bench: baseline put p50 %.0fns p99 %.0fns, "
-              "%llu arena blocks after churn\n",
-              a.put.p50Ns, a.put.p99Ns,
-              static_cast<unsigned long long>(a.arenaBlocksAfter));
-  const double ratio = pairedRatio;
-  std::printf("compaction bench: relocating put p50 %.0fns p99 %.0fns "
-              "(ratio %.3f), arenas %llu -> %llu, %zu retired in settle, "
-              "%llu slices / %llu bytes moved\n",
-              b.put.p50Ns, b.put.p99Ns, ratio,
-              static_cast<unsigned long long>(a.arenaBlocksAfter),
-              static_cast<unsigned long long>(b.arenaBlocksAfter), b.retired,
-              static_cast<unsigned long long>(b.slicesRelocated),
-              static_cast<unsigned long long>(b.bytesRelocated));
-
+  using oak::obs::Counter;
   std::printf(
       "COMPACTION {\"pairs\":%zu,\"waves\":%d,\"sampled_puts\":%llu,"
       "\"threads\":%u,\"shards\":%zu,\"value_bytes\":%zu,\"block_bytes\":%zu,"
       "\"base_put_p50_ns\":%.0f,\"base_put_p99_ns\":%.0f,"
       "\"base_arena_blocks\":%llu,\"base_footprint_bytes\":%llu,"
       "\"compact_put_p50_ns\":%.0f,\"compact_put_p99_ns\":%.0f,"
-      "\"put_p99_ratio\":%.4f,"
+      "\"put_p99_ratio\":%.4f,\"put_p99_ratio_spread\":%.4f,"
       "\"arena_blocks_after\":%llu,\"footprint_after\":%llu,"
       "\"arenas_retired\":%zu,\"evacuation_runs\":%llu,"
       "\"arenas_evacuated\":%llu,\"slices_relocated\":%llu,"
       "\"bytes_relocated\":%llu,\"validation_errors\":%zu}\n",
-      cfg.keyRange, waves, static_cast<unsigned long long>(b.put.ops),
-      cfg.threads, cfg.shards, cfg.valueBytes, cfg.blockBytes,
-      a.put.p50Ns, a.put.p99Ns,
-      static_cast<unsigned long long>(a.arenaBlocksAfter),
-      static_cast<unsigned long long>(a.footprintAfter),
-      b.put.p50Ns, b.put.p99Ns, ratio,
-      static_cast<unsigned long long>(b.arenaBlocksAfter),
-      static_cast<unsigned long long>(b.footprintAfter),
-      b.retired, static_cast<unsigned long long>(b.evacRuns),
-      static_cast<unsigned long long>(b.arenasEvacuated),
-      static_cast<unsigned long long>(b.slicesRelocated),
-      static_cast<unsigned long long>(b.bytesRelocated),
+      cfg.keyRange, kCompactionWaves,
+      static_cast<unsigned long long>(ab.b.samples), cfg.threads, cfg.shards,
+      cfg.valueBytes, cfg.blockBytes, ab.a.p50, ab.a.p99,
+      static_cast<unsigned long long>(a.after.alloc.arenaBlocks),
+      static_cast<unsigned long long>(a.after.alloc.footprintBytes),
+      ab.b.p50, ab.b.p99, ab.ratio, ab.ratioSpread,
+      static_cast<unsigned long long>(b.after.alloc.arenaBlocks),
+      static_cast<unsigned long long>(b.after.alloc.footprintBytes), b.retired,
+      static_cast<unsigned long long>(b.after.registry.counter(Counter::EvacuationRuns)),
+      static_cast<unsigned long long>(b.after.registry.counter(Counter::ArenasEvacuated)),
+      static_cast<unsigned long long>(b.after.registry.counter(Counter::SlicesRelocated)),
+      static_cast<unsigned long long>(b.after.registry.counter(Counter::BytesRelocated)),
       a.verrors + b.verrors);
   std::fflush(stdout);
-  return a.verrors + b.verrors == 0 ? 0 : 1;
-}
-
-std::vector<std::string> splitList(const char* s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char* p = s;; ++p) {
-    if (*p == ' ' || *p == '\0') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-      if (*p == '\0') break;
-    } else {
-      cur += *p;
-    }
-  }
-  return out;
+  return a.verrors + b.verrors == 0 && !a.oom && !b.oom ? 0 : 1;
 }
 
 }  // namespace

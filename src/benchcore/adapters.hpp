@@ -59,6 +59,25 @@ inline RamSplit splitRam(const BenchConfig& cfg, bool offHeapSolution) {
   return {cfg.totalRamBytes - off, off};
 }
 
+/// Arena size for Oak's pool.  Each shard pins at least one arena for keys
+/// and value headers and can strand most of another in the block-granularity
+/// remainder, so a budget of a few blocks per shard runs out with much of it
+/// unused.  At 8 MiB blocks, budgets of one, two and four blocks per shard
+/// run out of off-heap memory (synchrobench -i 10000 at -v 64 and at the
+/// default value size; fig3a's 12.5K and 25K points), while the zipf and
+/// snapshot-churn smoke legs run clean at five and six.  cfg.blockBytes is
+/// therefore halved (down to 1 MiB) only while a shard's share of the budget
+/// holds fewer than kMinArenasPerShard arenas; the fig4 points and every
+/// bench_smoke leg keep cfg.blockBytes.
+inline std::size_t oakBlockBytes(const BenchConfig& cfg, std::size_t offHeapBytes) {
+  constexpr std::size_t kMinArenasPerShard = 5;
+  constexpr std::size_t kMinBlockBytes = 1u << 20;
+  const std::size_t perShard = offHeapBytes / (cfg.shards < 1 ? 1 : cfg.shards);
+  std::size_t block = cfg.blockBytes;
+  while (block > kMinBlockBytes && perShard / block < kMinArenasPerShard) block /= 2;
+  return block;
+}
+
 // ------------------------------------------------------------------ Oak
 // Always drives the sharded front-end; cfg.shards == 1 (the default) is a
 // single-shard map whose router adds one empty binary search per op.
@@ -74,7 +93,7 @@ class OakAdapter {
     // under <storageDir>/arenas, the same layout ShardedOakCoreMap would
     // pick for an owned pool.
     pool_ = std::make_unique<mem::BlockPool>(mem::BlockPool::Config{
-        .blockBytes = cfg.blockBytes,
+        .blockBytes = oakBlockBytes(cfg, split.offHeapBytes),
         .budgetBytes = split.offHeapBytes,
         .storageDir =
             cfg.storageDir.empty() ? std::string{} : cfg.storageDir + "/arenas"});
@@ -181,12 +200,14 @@ class OakAdapter {
     return cnt;
   }
 
-  // Evacuation controls for the compaction bench: explicit relocation
+  // Evacuation controls for the paired scenarios: explicit relocation
   // passes, version-GC drain (removed values stay live until their chains
-  // retire), and a write-quiescent barrier between churn waves.
+  // retire), a write-quiescent barrier between churn waves, and a barrier
+  // that runs every queued maintenance job.
   std::size_t compactNow() { return map_->compactNow(); }
   std::uint64_t collectVersionsNow() { return map_->collectVersionsNow(); }
   void quiesce() { map_->quiesce(); }
+  void drainMaintenance() { map_->drainMaintenance(); }
 
   // Durability controls for the recovery bench (no-ops when the config
   // carried no storageDir).
@@ -209,7 +230,7 @@ class OakAdapter {
     // Let queued background rebalances finish so the walk sees a settled
     // structure (walker handles mid-rebalance states too, but a drained
     // map makes validation failures deterministic).
-    map_->drainMaintenance();
+    drainMaintenance();
     const auto reports = ChunkWalker<BytesComparator>::validateShards(*map_);
     std::size_t problems = 0;
     for (const auto& rep : reports) {

@@ -1,5 +1,6 @@
 // Benchmark driver: ingestion stage + sustained-rate stage (§5.1), with
-// OOM-aware capacity probing for the memory experiments (Figure 3).
+// OOM-aware capacity probing for the memory experiments (Figure 3), and the
+// paired A/B helper the latency-gated scenarios run their stage reps through.
 #pragma once
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cmath>
 #include <concepts>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -38,6 +40,29 @@ inline const char* oomKindName(OomKind k) noexcept {
   return "?";
 }
 
+/// Exact latency percentiles over every thread's samples — the one
+/// percentile path of the bench harness (its histograms are bucketed).
+struct ExactPercentiles {
+  std::size_t samples = 0;
+  double p50 = 0;
+  double p99 = 0;
+};
+
+/// Pools and sorts the per-thread samples, then reads p50 = v[n/2] and
+/// p99 = v[min(n-1, n*99/100)]; all zero when there are none.
+inline ExactPercentiles exactPercentiles(const std::vector<std::vector<double>>& perThread) {
+  std::vector<double> all;
+  for (const auto& v : perThread) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end());
+  ExactPercentiles r;
+  r.samples = all.size();
+  if (!all.empty()) {
+    r.p50 = all[all.size() / 2];
+    r.p99 = all[std::min(all.size() - 1, all.size() * 99 / 100)];
+  }
+  return r;
+}
+
 struct PointResult {
   double kops = 0;             ///< operations (or scanned entries) per second / 1e3
   double ingestKops = 0;       ///< ingestion-stage throughput
@@ -51,9 +76,10 @@ struct PointResult {
 
   /// Snapshot-scan latency (Mix::snapshotScans): whole-scan wall time,
   /// aggregated over every worker's scans.  Zero when the mix ran none.
-  std::uint64_t snapScans = 0;
-  double snapScanP50Ns = 0;
-  double snapScanP99Ns = 0;
+  ExactPercentiles snapScan{};
+  /// Put latency after each worker's warm-up (op-bounded stages only, see
+  /// Mix::opsPerThread), pooled over every worker.  Zero when none ran.
+  ExactPercentiles put{};
 };
 
 /// Adapters may expose a `metrics()` snapshot (the oak/offheap ones do);
@@ -100,33 +126,26 @@ obs::Metrics snapshotMetrics(Adapter& a) {
   }
 }
 
-/// Exact latency percentiles over every thread's samples — the one
-/// percentile path of the bench harness (its histograms are bucketed).
-struct ExactPercentiles {
-  std::size_t samples = 0;
-  double p50 = 0;
-  double p99 = 0;
-};
-
-/// Pools and sorts the per-thread samples, then reads p50 = v[n/2] and
-/// p99 = v[min(n-1, n*99/100)]; all zero when there are none.
-inline ExactPercentiles exactPercentiles(const std::vector<std::vector<double>>& perThread) {
-  std::vector<double> all;
-  for (const auto& v : perThread) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  ExactPercentiles r;
-  r.samples = all.size();
-  if (!all.empty()) {
-    r.p50 = all[all.size() / 2];
-    r.p99 = all[std::min(all.size() - 1, all.size() * 99 / 100)];
-  }
-  return r;
-}
-
 inline double nowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Runs `body` and names the resource whose exhaustion it threw, or None
+/// when it returned: the one place the harness classifies an OOM.
+template <class Body>
+OomKind catchOom(Body&& body) {
+  try {
+    body();
+  } catch (const ManagedOutOfMemory&) {
+    return OomKind::Managed;  // capacity exceeded: the "cap" in Figure 3
+  } catch (const OffHeapOutOfMemory&) {
+    return OomKind::OffHeap;
+  } catch (const std::bad_alloc&) {
+    return OomKind::Host;
+  }
+  return OomKind::None;
 }
 
 /// Ingestion stage: single thread, putIfAbsent of `count` unique keys in
@@ -153,7 +172,7 @@ bool ingestStage(Adapter& a, const BenchConfig& cfg, std::size_t count,
   };
   while (gcd(stride, range) != 1) stride += 2;
   const double t0 = nowSeconds();
-  try {
+  const OomKind kind = catchOom([&] {
     std::uint64_t id = rng.nextBounded(range);
     for (std::size_t i = 0; i < count; ++i) {
       id += stride;
@@ -162,36 +181,34 @@ bool ingestStage(Adapter& a, const BenchConfig& cfg, std::size_t count,
       storeUnaligned<std::uint64_t>(value.data(), id);
       a.ingest({key.data(), key.size()}, {value.data(), value.size()});
     }
-  } catch (const ManagedOutOfMemory&) {
-    if (kopsOut != nullptr) *kopsOut = 0;
-    if (kindOut != nullptr) *kindOut = OomKind::Managed;
-    return false;  // capacity exceeded: the "cap" in Figure 3
-  } catch (const OffHeapOutOfMemory&) {
-    if (kopsOut != nullptr) *kopsOut = 0;
-    if (kindOut != nullptr) *kindOut = OomKind::OffHeap;
-    return false;
-  } catch (const std::bad_alloc&) {
-    if (kopsOut != nullptr) *kopsOut = 0;
-    if (kindOut != nullptr) *kindOut = OomKind::Host;
-    return false;
-  }
+  });
+  if (kindOut != nullptr) *kindOut = kind;
   const double dt = nowSeconds() - t0;
-  if (kopsOut != nullptr) *kopsOut = static_cast<double>(count) / dt / 1e3;
-  return true;
+  if (kopsOut != nullptr) {
+    *kopsOut = kind == OomKind::None ? static_cast<double>(count) / dt / 1e3 : 0;
+  }
+  return kind == OomKind::None;
 }
 
-/// Sustained-rate stage: `cfg.threads` symmetric workers for durationMs.
+/// Sustained-rate stage: `cfg.threads` symmetric workers running `mix`,
+/// for cfg.durationMs or, with mix.opsPerThread set, for exactly that many
+/// ops per worker, timing every put after the first quarter of them.
 template <class Adapter>
 PointResult sustainedStage(Adapter& a, const BenchConfig& cfg, const Mix& mix) {
   PointResult res;
+  const unsigned nThreads = cfg.threads == 0 ? 1 : cfg.threads;
+  // First op index whose puts are timed; a time-bounded stage times none.
+  const std::uint64_t sampleFrom = mix.opsPerThread == 0
+                                       ? std::numeric_limits<std::uint64_t>::max()
+                                       : mix.opsPerThread / 4;
   std::atomic<bool> start{false};
   std::atomic<bool> stop{false};
-  std::atomic<bool> oom{false};
   std::atomic<std::uint8_t> oomKind{0};  // first worker's OomKind wins
   std::atomic<std::uint64_t> totalOps{0};
-  // Per-worker snapshot-scan latency samples, merged after the join (no
-  // synchronization on the hot path).
-  std::vector<std::vector<double>> snapNs(cfg.threads);
+  // Per-worker latency samples, merged after the join (no synchronization
+  // on the hot path).
+  std::vector<std::vector<double>> snapNs(nThreads);
+  std::vector<std::vector<double>> putNs(nThreads);
 
   auto worker = [&](unsigned t) {
     XorShift rng(cfg.seed * 7919 + t * 104729 + 1);
@@ -208,11 +225,15 @@ PointResult sustainedStage(Adapter& a, const BenchConfig& cfg, const Mix& mix) {
     const std::size_t maxValue =
         mix.valueJitter ? cfg.valueBytes / 2 + 8 * jitterStep : cfg.valueBytes;
     std::vector<std::byte> value(maxValue < 8 ? 8 : maxValue, std::byte{0x22});
+    if (mix.opsPerThread != 0) putNs[t].reserve(mix.opsPerThread - sampleFrom);
     Blackhole bh;
     std::uint64_t ops = 0;
     while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
-    try {
-      while (!stop.load(std::memory_order_acquire)) {
+    const OomKind kind = catchOom([&] {
+      for (std::uint64_t i = 0;
+           (mix.opsPerThread == 0 || i < mix.opsPerThread) &&
+           !stop.load(std::memory_order_acquire);
+           ++i) {
         const auto pct = static_cast<unsigned>(rng.nextBounded(100));
         const std::uint64_t id =
             zipf ? zipf->next(rng) : rng.nextBounded(cfg.keyRange);
@@ -230,7 +251,13 @@ PointResult sustainedStage(Adapter& a, const BenchConfig& cfg, const Mix& mix) {
             if (vlen < 8) vlen = 8;
           }
           storeUnaligned<std::uint64_t>(value.data(), id);
-          a.put(k, {value.data(), vlen});
+          if (i >= sampleFrom) {
+            const double p0 = nowSeconds();
+            a.put(k, {value.data(), vlen});
+            putNs[t].push_back((nowSeconds() - p0) * 1e9);
+          } else {
+            a.put(k, {value.data(), vlen});
+          }
           ++ops;
         } else if (pct < mix.putPct + mix.removePct) {
           if constexpr (HasRemove<Adapter>) {
@@ -263,40 +290,33 @@ PointResult sustainedStage(Adapter& a, const BenchConfig& cfg, const Mix& mix) {
           ++ops;
         }
       }
-    } catch (const ManagedOutOfMemory&) {
-      oomKind.store(static_cast<std::uint8_t>(OomKind::Managed),
-                    std::memory_order_relaxed);
-      oom.store(true, std::memory_order_release);
-    } catch (const OffHeapOutOfMemory&) {
-      oomKind.store(static_cast<std::uint8_t>(OomKind::OffHeap),
-                    std::memory_order_relaxed);
-      oom.store(true, std::memory_order_release);
-    } catch (const std::bad_alloc&) {
-      oomKind.store(static_cast<std::uint8_t>(OomKind::Host),
-                    std::memory_order_relaxed);
-      oom.store(true, std::memory_order_release);
+    });
+    if (kind != OomKind::None) {
+      std::uint8_t none = 0;
+      oomKind.compare_exchange_strong(none, static_cast<std::uint8_t>(kind),
+                                      std::memory_order_relaxed);
     }
     totalOps.fetch_add(ops, std::memory_order_relaxed);
     if (bh.acc == 0xdeadbeefcafebabeull) std::fprintf(stderr, "!");
   };
 
   std::vector<std::thread> threads;
-  threads.reserve(cfg.threads);
-  for (unsigned t = 0; t < cfg.threads; ++t) threads.emplace_back(worker, t);
+  threads.reserve(nThreads);
+  for (unsigned t = 0; t < nThreads; ++t) threads.emplace_back(worker, t);
   const double t0 = nowSeconds();
   start.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(cfg.durationMs));
-  stop.store(true, std::memory_order_release);
+  if (mix.opsPerThread == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(cfg.durationMs));
+    stop.store(true, std::memory_order_release);
+  }
   for (auto& t : threads) t.join();
   const double dt = nowSeconds() - t0;
 
   res.kops = static_cast<double>(totalOps.load()) / dt / 1e3;
-  const ExactPercentiles snap = exactPercentiles(snapNs);
-  res.snapScans = snap.samples;
-  res.snapScanP50Ns = snap.p50;
-  res.snapScanP99Ns = snap.p99;
-  res.oom = oom.load();
+  res.snapScan = exactPercentiles(snapNs);
+  res.put = exactPercentiles(putNs);
   res.oomKind = static_cast<OomKind>(oomKind.load(std::memory_order_relaxed));
+  res.oom = res.oomKind != OomKind::None;
   res.gc = a.gcStats();
   res.offHeapBytes = a.offHeapFootprint();
   if constexpr (HasValidate<Adapter>) {
@@ -318,34 +338,30 @@ PointResult runPoint(const BenchConfig& cfg, const Mix& mix, Args&&... adapterAr
   for (std::uint32_t r = 0; r < cfg.repeats; ++r) {
     BenchConfig c = cfg;
     c.seed += r;
-    try {
+    bool capped = false;  // ingest ran out of memory: no sustained stage
+    const OomKind built = catchOom([&] {
       Adapter a(c, std::forward<Args>(adapterArgs)...);
       double ingest = 0;
       OomKind kind = OomKind::None;
       if (!ingestStage(a, c, c.keyRange / 2, &ingest, &kind)) {
+        capped = true;
         last.oom = true;
         last.oomKind = kind;
         last.gc = a.gcStats();
         last.metrics = snapshotMetrics(a);
-        return last;
+        return;
       }
       last = sustainedStage(a, c, mix);
       last.ingestKops = ingest;
       last.finalSize = a.finalSize();
       kops.push_back(last.kops);
-    } catch (const ManagedOutOfMemory&) {
+    });
+    if (built != OomKind::None) {
       last.oom = true;  // not even the empty structure fits
-      last.oomKind = OomKind::Managed;
-      return last;
-    } catch (const OffHeapOutOfMemory&) {
-      last.oom = true;
-      last.oomKind = OomKind::OffHeap;
-      return last;
-    } catch (const std::bad_alloc&) {
-      last.oom = true;
-      last.oomKind = OomKind::Host;
+      last.oomKind = built;
       return last;
     }
+    if (capped) return last;
   }
   std::sort(kops.begin(), kops.end());
   last.kops = kops[kops.size() / 2];
@@ -356,30 +372,66 @@ PointResult runPoint(const BenchConfig& cfg, const Mix& mix, Args&&... adapterAr
 template <class Adapter, class... Args>
 PointResult runIngestPoint(const BenchConfig& cfg, Args&&... adapterArgs) {
   PointResult res;
-  try {
+  const OomKind built = catchOom([&] {
     Adapter a(cfg, std::forward<Args>(adapterArgs)...);
-    double kops = 0;
-    OomKind kind = OomKind::None;
-    const bool ok = ingestStage(a, cfg, cfg.keyRange, &kops, &kind);
-    res.oom = !ok;
-    res.oomKind = kind;
-    res.ingestKops = kops;
-    res.kops = kops;
+    const bool ok = ingestStage(a, cfg, cfg.keyRange, &res.kops, &res.oomKind);
+    res.ingestKops = res.kops;
     if (ok) res.finalSize = a.finalSize();
     res.gc = a.gcStats();
     res.offHeapBytes = a.offHeapFootprint();
     res.metrics = snapshotMetrics(a);
-  } catch (const ManagedOutOfMemory&) {
-    res.oom = true;  // not even the empty structure fits
-    res.oomKind = OomKind::Managed;
-  } catch (const OffHeapOutOfMemory&) {
-    res.oom = true;
-    res.oomKind = OomKind::OffHeap;
-  } catch (const std::bad_alloc&) {
-    res.oom = true;
-    res.oomKind = OomKind::Host;
-  }
+  });
+  if (built != OomKind::None) res.oomKind = built;  // not even the empty structure fits
+  res.oom = res.oomKind != OomKind::None;
   return res;
+}
+
+/// A paired A/B measurement: each side's median-by-p99 rep, and the
+/// per-pair p99 ratios (B over A) reduced to their median and spread.
+struct PairedAB {
+  ExactPercentiles a{};
+  ExactPercentiles b{};
+  double ratio = 0;        ///< median of the per-pair b.p99 / a.p99
+  double ratioSpread = 0;  ///< distance between those ratios' quartiles
+};
+
+/// Runs `reps` pairs of `repA(rep)` / `repB(rep)`, each returning that rep's
+/// ExactPercentiles, and alternates which side runs first so drift in host
+/// load lands on both sides alike.  The gate reads the median of the
+/// per-pair ratios rather than the ratio of the medians: each pair runs
+/// back to back, so a load shift cancels within the pair instead of skewing
+/// one side's whole median.
+template <class RepA, class RepB>
+PairedAB pairedAB(int reps, RepA&& repA, RepB&& repB) {
+  std::vector<ExactPercentiles> as, bs;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < reps; ++rep) {
+    if (rep % 2 == 0) {
+      as.push_back(repA(rep));
+      bs.push_back(repB(rep));
+    } else {
+      bs.push_back(repB(rep));
+      as.push_back(repA(rep));
+    }
+    if (as.back().p99 > 0) ratios.push_back(bs.back().p99 / as.back().p99);
+  }
+  PairedAB out;
+  if (as.empty()) return out;
+  auto medianByP99 = [](std::vector<ExactPercentiles>& v) {
+    std::sort(v.begin(), v.end(), [](const ExactPercentiles& x, const ExactPercentiles& y) {
+      return x.p99 < y.p99;
+    });
+    return v[v.size() / 2];
+  };
+  out.a = medianByP99(as);
+  out.b = medianByP99(bs);
+  if (!ratios.empty()) {
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t n = ratios.size();
+    out.ratio = ratios[n / 2];
+    out.ratioSpread = ratios[3 * n / 4] - ratios[n / 4];
+  }
+  return out;
 }
 
 // ----------------------------------------------------------- reporting
@@ -425,8 +477,8 @@ inline void printMetricsLine(const char* name, double x, const PointResult& r) {
                   r.metrics.registry.counter(obs::Counter::MaintInlineFallback)),
               static_cast<unsigned long long>(r.metrics.maintThrottledMs),
               static_cast<unsigned long long>(r.metrics.maintPending),
-              static_cast<unsigned long long>(r.snapScans), r.snapScanP50Ns,
-              r.snapScanP99Ns,
+              static_cast<unsigned long long>(r.snapScan.samples), r.snapScan.p50,
+              r.snapScan.p99,
               r.validationErrors, r.metrics.toJson().c_str());
 }
 

@@ -60,7 +60,8 @@ struct BenchConfig {
 
   /// Arena block size for the off-heap pools.  The compaction scenario
   /// shrinks this: evacuation scores whole blocks, and at smoke scale an
-  /// 8 MiB block never drops below the occupancy threshold.
+  /// 8 MiB block never drops below the occupancy threshold.  The Oak
+  /// adapter shrinks it further for budgets of few arenas (oakBlockBytes).
   std::size_t blockBytes = 8u << 20;
   /// Run the Oak adapter with background arena evacuation enabled
   /// (MemConfig compaction knobs); the A leg of --scenario compaction
@@ -100,6 +101,11 @@ struct Mix {
   /// (ScanOptions::snapshot()); the driver times each such scan and reports
   /// p50/p99 in the METRICS line.  The snapshot-churn scenario's knob.
   bool snapshotScans = false;
+  /// Op-bounded stage: each worker runs exactly this many ops and the stage
+  /// ends when all have (0 = run for BenchConfig::durationMs).  After a
+  /// warm-up of the first quarter of each worker's ops, the driver times
+  /// every put and reports exact p50/p99 (PointResult::put).
+  std::uint64_t opsPerThread = 0;
 };
 
 /// YCSB-style Zipfian id generator over [0, n).  Rank r is drawn with
@@ -154,19 +160,27 @@ inline std::size_t envSize(const char* name, std::size_t def) {
   return static_cast<std::size_t>(env::u64(name, def));
 }
 
+/// The tokens of a space-separated list such as "1 4 8".
+inline std::vector<std::string> splitList(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos < s.size()) {
+    const std::size_t sp = s.find(' ', pos);
+    const std::string tok = s.substr(pos, sp == std::string::npos ? sp : sp - pos);
+    if (!tok.empty()) out.push_back(tok);
+    if (sp == std::string::npos) break;
+    pos = sp + 1;
+  }
+  return out;
+}
+
 inline std::vector<unsigned> envThreadList(const char* name,
                                            std::vector<unsigned> def) {
   const char* v = env::raw(name);
   if (v == nullptr) return def;
   std::vector<unsigned> out;
-  std::string s(v);
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const std::size_t sp = s.find(' ', pos);
-    const std::string tok = s.substr(pos, sp == std::string::npos ? sp : sp - pos);
-    if (!tok.empty()) out.push_back(static_cast<unsigned>(std::stoul(tok)));
-    if (sp == std::string::npos) break;
-    pos = sp + 1;
+  for (const std::string& tok : splitList(v)) {
+    out.push_back(static_cast<unsigned>(std::stoul(tok)));
   }
   return out.empty() ? def : out;
 }

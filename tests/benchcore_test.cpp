@@ -6,6 +6,8 @@
 
 #include <cstdlib>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "benchcore/adapters.hpp"
 #include "benchcore/driver.hpp"
@@ -94,6 +96,78 @@ TEST(Driver, SustainedStageCountsOps) {
   const PointResult r = sustainedStage(a, cfg, mix);
   EXPECT_GT(r.kops, 0.0);
   EXPECT_FALSE(r.oom);
+}
+
+TEST(Driver, OpBoundedStageSamplesEveryPutAfterWarmup) {
+  BenchConfig cfg;
+  cfg.keyRange = 2000;
+  cfg.totalRamBytes = 256u << 20;
+  cfg.threads = 2;
+  OakAdapter a(cfg, false);
+  ingestStage(a, cfg, cfg.keyRange / 2, nullptr);
+  Mix mix;
+  mix.putPct = 100;
+  mix.opsPerThread = 500;
+  const PointResult r = sustainedStage(a, cfg, mix);
+  EXPECT_FALSE(r.oom);
+  // The first quarter of each worker's ops is unsampled warm-up.
+  EXPECT_EQ(r.put.samples, cfg.threads * (mix.opsPerThread - mix.opsPerThread / 4));
+  EXPECT_GT(r.put.p50, 0.0);
+  EXPECT_GE(r.put.p99, r.put.p50);
+  EXPECT_EQ(r.snapScan.samples, 0u);
+}
+
+// A budget of two 8 MiB arenas per shard used to run out with half
+// of it unused (one arena pinned for keys and headers).  Here 10000 pairs
+// get 3x raw RAM and 2 x 10000 puts grow the map toward its full range.
+TEST(Driver, SmallBudgetPointRunsWithoutOom) {
+  BenchConfig cfg;
+  cfg.keyRange = 10'000;
+  cfg.totalRamBytes = cfg.rawDataBytes() * 3;
+  Mix mix;
+  mix.putPct = 100;
+  mix.opsPerThread = 2 * cfg.keyRange;
+  const PointResult r = runPoint<OakAdapter>(cfg, mix, false);
+  EXPECT_FALSE(r.oom) << oomKindName(r.oomKind);
+  EXPECT_GT(r.finalSize, cfg.keyRange * 8 / 10);
+}
+
+TEST(Adapters, OakBlockBytesShrinkOnlyForSmallBudgets) {
+  BenchConfig fig4 = standardConfig();  // 100K pairs: 15 arenas of 8 MiB
+  EXPECT_EQ(oakBlockBytes(fig4, splitRam(fig4, true).offHeapBytes), 8u << 20);
+  BenchConfig compaction;
+  compaction.blockBytes = 1u << 20;
+  EXPECT_EQ(oakBlockBytes(compaction, 4u << 20), 1u << 20);  // never below 1 MiB
+  BenchConfig small;
+  small.shards = 2;
+  EXPECT_EQ(oakBlockBytes(small, 40u << 20), 4u << 20);  // 20 MiB per shard
+  EXPECT_EQ(oakBlockBytes(small, 80u << 20), 8u << 20);  // 5 arenas per shard
+}
+
+TEST(PairedAB, AlternatesWhichSideRunsFirst) {
+  std::string order;
+  auto rep = [&](char side) {
+    return [&order, side](int) {
+      order += side;
+      return ExactPercentiles{1, 1.0, 1.0};
+    };
+  };
+  pairedAB(4, rep('A'), rep('B'));
+  EXPECT_EQ(order, "ABBAABBA");
+}
+
+// Per-pair ratios {3, 1, 10} have median 3; the sides' median reps (p99 2
+// and 3) would give 1.5.  The gate reads the former.
+TEST(PairedAB, ReportsMedianOfPerPairRatios) {
+  const std::vector<double> a{1, 2, 3};
+  const std::vector<double> b{3, 2, 30};
+  const PairedAB ab = pairedAB(
+      3, [&](int rep) { return ExactPercentiles{10, a[rep] / 2, a[rep]}; },
+      [&](int rep) { return ExactPercentiles{10, b[rep] / 2, b[rep]}; });
+  EXPECT_DOUBLE_EQ(ab.ratio, 3.0);
+  EXPECT_DOUBLE_EQ(ab.ratioSpread, 9.0);  // quartiles 1 and 10 at n = 3
+  EXPECT_DOUBLE_EQ(ab.a.p99, 2.0);
+  EXPECT_DOUBLE_EQ(ab.b.p99, 3.0);
 }
 
 TEST(Driver, OomConfigurationsReportNotCrash) {

@@ -1,6 +1,8 @@
 // Common-substrate tests: PRNG determinism/uniformity, spin primitives,
-// and thread-registry id recycling (the chunk publish array and EBR slots
-// depend on dense, stable, recycled ids).
+// thread-registry id recycling (the chunk publish array and EBR slots
+// depend on dense, stable, recycled ids), and the tests' own worker-thread
+// helper.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,9 +10,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/random.hpp"
 #include "common/spin.hpp"
 #include "common/thread_registry.hpp"
+#include "worker_threads.hpp"
 
 namespace oak {
 namespace {
@@ -129,6 +133,22 @@ TEST(BackoffTest, EventuallyYields) {
   b.reset();
   b.pause();
   SUCCEED();
+}
+
+// An exception escaping a worker becomes one test failure naming its type
+// and what(), where a bare std::thread would std::terminate the binary.
+TEST(WorkerThreadsTest, EscapedExceptionBecomesTestFailure) {
+  EXPECT_NONFATAL_FAILURE(
+      {
+        test::WorkerThreads workers;
+        workers.spawn([] {});
+        workers.spawn([] { throw OffHeapOutOfMemory(); });
+        workers.spawn([&] {
+          while (!workers.stopping()) std::this_thread::yield();
+        });
+        if (workers.join()) ADD_FAILURE() << "join() missed the exception";
+      },
+      "worker thread threw oak::OffHeapOutOfMemory: oak: off-heap pool out of memory");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "linearizability.hpp"
 #include "oak/core_map.hpp"
 #include "oak/sharded_map.hpp"
+#include "worker_threads.hpp"
 
 namespace oak {
 namespace {
@@ -242,9 +243,9 @@ RoundResult recordRoundOn(Map& map, unsigned threads, int opsPer, int keys,
   for (unsigned t = 0; t < snapScanThreads; ++t) snapRecs.emplace_back(map);
   std::barrier gate(
       static_cast<std::ptrdiff_t>(threads + scanThreads + snapScanThreads));
-  std::vector<std::thread> ts;
+  test::WorkerThreads workers;
   for (unsigned t = 0; t < threads; ++t) {
-    ts.emplace_back([&, t] {
+    workers.spawn([&, t] {
       XorShift rng(seed * 1000 + t);
       gate.arrive_and_wait();
       for (int i = 0; i < opsPer; ++i) {
@@ -260,19 +261,19 @@ RoundResult recordRoundOn(Map& map, unsigned threads, int opsPer, int keys,
     });
   }
   for (unsigned t = 0; t < scanThreads; ++t) {
-    ts.emplace_back([&, t] {
+    workers.spawn([&, t] {
       XorShift rng(seed * 7000 + t);
       gate.arrive_and_wait();
       for (int i = 0; i < 3; ++i) scanRecs[t].scan(rng.nextBounded(2) == 1);
     });
   }
   for (unsigned t = 0; t < snapScanThreads; ++t) {
-    ts.emplace_back([&, t] {
+    workers.spawn([&, t] {
       gate.arrive_and_wait();
       for (int i = 0; i < 3; ++i) snapRecs[t].scan();
     });
   }
-  for (auto& t : ts) t.join();
+  workers.join();
   RoundResult out;
   for (auto& r : recs) out.ops.insert(out.ops.end(), r.ops_.begin(), r.ops_.end());
   for (auto& r : scanRecs) {
@@ -550,10 +551,10 @@ TEST(SnapshotLinearizability, RoundsUnderShardSplitMerge) {
                    .withLayout(straddlingLayout(2, 4))
                    .withShard(OakConfig{}.withChunkCapacity(16));
     ShardedOakCoreMap<> map(std::move(cfg));
-    std::atomic<bool> stop{false};
-    std::thread churn([&] {
+    test::WorkerThreads churn;
+    churn.spawn([&] {
       XorShift rng(round ^ 0xFEED);
-      while (!stop.load(std::memory_order_acquire)) {
+      while (!churn.stopping()) {
         if (map.shardCount() < 4) {
           map.splitShardAt(rng.nextBounded(map.shardCount()),
                            keyOf(1 + rng.nextBounded(3)));
@@ -565,8 +566,7 @@ TEST(SnapshotLinearizability, RoundsUnderShardSplitMerge) {
     });
     auto r = recordRoundOn(map, 3, 5, 4, round + 7000, /*scanThreads=*/0,
                            /*withCompute=*/true, /*snapScanThreads=*/2);
-    stop.store(true, std::memory_order_release);
-    churn.join();
+    ASSERT_TRUE(churn.join()) << "round " << round;
     ASSERT_TRUE(lin::isLinearizableWithSnapshots(r.ops, r.snapScans))
         << "round " << round;
   }

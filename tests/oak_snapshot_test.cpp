@@ -30,6 +30,7 @@
 #include "common/env.hpp"
 #include "common/random.hpp"
 #include "oak/sharded_map.hpp"
+#include "worker_threads.hpp"
 
 namespace oak {
 namespace {
@@ -387,11 +388,11 @@ TEST(SnapshotFuzz, ScansStayFrozenAcrossShardSplitMerge) {
     for (std::uint64_t k = 0; k < kKeySpace; k += 2) {
       map.put(asBytes(keyOf(k)), asBytes(valOf(k, 1)));
     }
-    std::atomic<bool> stop{false};
-    std::thread churn([&] {
+    test::WorkerThreads workers;
+    workers.spawn([&] {
       XorShift rng(seed ^ 0xABCD);
       std::uint64_t seq = 1;
-      while (!stop.load(std::memory_order_acquire)) {
+      while (!workers.stopping()) {
         const std::uint64_t k = 1 + 2 * rng.nextBounded(kKeySpace / 2);
         if (rng.nextBounded(3) == 0) {
           map.remove(asBytes(keyOf(k)));
@@ -400,9 +401,9 @@ TEST(SnapshotFuzz, ScansStayFrozenAcrossShardSplitMerge) {
         }
       }
     });
-    std::thread resize([&] {
+    workers.spawn([&] {
       XorShift rng(seed ^ 0x5151);
-      while (!stop.load(std::memory_order_acquire)) {
+      while (!workers.stopping()) {
         if (map.shardCount() < 5) {
           // Random split point; out-of-range mids are rejected harmlessly.
           map.splitShardAt(rng.nextBounded(map.shardCount()),
@@ -427,9 +428,7 @@ TEST(SnapshotFuzz, ScansStayFrozenAcrossShardSplitMerge) {
       }
       ASSERT_EQ(expect, kKeySpace);
     }
-    stop.store(true, std::memory_order_release);
-    churn.join();
-    resize.join();
+    ASSERT_TRUE(workers.join());
   }
 }
 
