@@ -38,13 +38,14 @@ class OakRBuffer {
   }
 
   /// Snapshot value view: every read resolves the payload visible at
-  /// `version` in the cell's version chain, not the live head.  With
-  /// version == 0 this is identical to forValue().
-  static OakRBuffer forValueAt(detail::ValueCell cell,
-                               std::uint64_t version) noexcept {
+  /// `version` of `dom` in the cell's version chain, not the live head.
+  /// With version == 0 this is identical to forValue().
+  static OakRBuffer forValueAt(detail::ValueCell cell, std::uint64_t version,
+                               const SnapshotDomain& dom) noexcept {
     OakRBuffer b;
     b.cell_ = cell;
     b.atVersion_ = version;
+    b.domain_ = &dom;
     return b;
   }
 
@@ -123,8 +124,9 @@ class OakRBuffer {
   template <class F>
   void readOrThrow(F&& f) const {
     detail::ValueCell cell = *cell_;
-    const bool ok = atVersion_ != 0 ? cell.readAt(atVersion_, std::forward<F>(f))
-                                    : cell.read(std::forward<F>(f));
+    const bool ok = atVersion_ != 0
+                        ? cell.readAt(atVersion_, *domain_, std::forward<F>(f))
+                        : cell.read(std::forward<F>(f));
     if (!ok) throw ConcurrentModification();
   }
 
@@ -134,6 +136,7 @@ class OakRBuffer {
   // Value view state.
   mutable std::optional<detail::ValueCell> cell_;
   std::uint64_t atVersion_ = 0;  ///< snapshot read version (0 = live head)
+  const SnapshotDomain* domain_ = nullptr;  ///< atVersion_'s clock
 };
 
 /// Writable view over a value; only constructed inside compute lambdas while

@@ -340,13 +340,17 @@ class OakCoreMap {
     /// Non-zero on snapshot scans: the pinned read version.  Value reads
     /// must then go through readValue() so chained versions resolve.
     std::uint64_t snapshotVersion = 0;
+    /// The clock snapshotVersion belongs to; snapshot reads help-stamp
+    /// pending values with it (value.hpp readAt).
+    const SnapshotDomain* snapshotDomain = nullptr;
 
     /// Reads the value as of the scan's view: the chain version at
     /// snapshotVersion for snapshot scans, the live payload otherwise.
     template <class F>
     bool readValue(F&& f) const {
       return snapshotVersion != 0
-                 ? value.readAt(snapshotVersion, std::forward<F>(f))
+                 ? value.readAt(snapshotVersion, *snapshotDomain,
+                                std::forward<F>(f))
                  : value.read(std::forward<F>(f));
     }
   };
@@ -391,7 +395,7 @@ class OakCoreMap {
     EntryView entry() const {
       return EntryView{chunk_->keyAt(cur_),
                        detail::ValueCell(map_->mm_, detail::VRef{curVal_}),
-                       snapV_};
+                       snapV_, map_->snapDomain_};
     }
 
     void next() {
@@ -458,7 +462,7 @@ class OakCoreMap {
       detail::ValueCell cell(map_->mm_, detail::VRef{v});
       // Live scans must skip tombstones too: a removed key whose header is
       // retained for older pinned versions is still absent *now*.
-      return snapV_ != 0 ? cell.visibleAt(snapV_)
+      return snapV_ != 0 ? cell.visibleAt(snapV_, *map_->snapDomain_)
                          : cell.livenessProbe() == detail::Liveness::Live;
     }
 
@@ -513,7 +517,7 @@ class OakCoreMap {
     EntryView entry() const {
       return EntryView{chunk_->keyAt(cur_),
                        detail::ValueCell(map_->mm_, detail::VRef{curVal_}),
-                       snapV_};
+                       snapV_, map_->snapDomain_};
     }
 
     void next() {
@@ -605,7 +609,7 @@ class OakCoreMap {
       detail::ValueCell cell(map_->mm_, detail::VRef{v});
       // Live scans must skip tombstones too: a removed key whose header is
       // retained for older pinned versions is still absent *now*.
-      return snapV_ != 0 ? cell.visibleAt(snapV_)
+      return snapV_ != 0 ? cell.visibleAt(snapV_, *map_->snapDomain_)
                          : cell.livenessProbe() == detail::Liveness::Live;
     }
 
@@ -843,7 +847,7 @@ class OakCoreMap {
             detail::ValueCell::allocate(mm_, value, headerPool());
         // Stamp now: the domain clock starts at 1, so loaded values are
         // visible to every snapshot — never "pending".
-        detail::ValueCell(mm_, vref).helpStamp(snapCtx_);
+        detail::ValueCell(mm_, vref).helpStamp(*snapDomain_);
         batch.push_back({keyRef.bits(), vref.bits(), keyHead(cmp_, key)});
         more = source(key, value);
       }
@@ -1135,7 +1139,7 @@ class OakCoreMap {
       // at or above the stamp and therefore observes the insert; readers
       // racing the window between the CAS and this stamp help-stamp
       // themselves (value.hpp).
-      detail::ValueCell(mm_, newV).helpStamp(snapCtx_);
+      detail::ValueCell(mm_, newV).helpStamp(*snapDomain_);
       // The CAS above is this put's linearization point; the compaction that
       // follows is opportunistic maintenance.  If it fails on OOM (rebalance
       // rolled itself back), the put still succeeded — reporting the failure

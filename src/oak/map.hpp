@@ -187,7 +187,8 @@ class BasicOakMap {
       OakRBuffer valueBuffer() const {
         const auto e = rawEntry();
         return e.snapshotVersion != 0
-                   ? OakRBuffer::forValueAt(e.value, e.snapshotVersion)
+                   ? OakRBuffer::forValueAt(e.value, e.snapshotVersion,
+                                            *e.snapshotDomain)
                    : OakRBuffer::forValue(e.value);
       }
       K key() const { return KSer::deserialize(rawEntry().key); }

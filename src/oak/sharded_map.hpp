@@ -389,8 +389,8 @@ class ShardedOakCoreMap {
         }
       }
       if (useHistory) {
-        // Taken WITHOUT a hazard pin held: snapshotScanView blocks on
-        // mgmtMu_, and a migration holding mgmtMu_ awaits hazard
+        // Taken WITHOUT a hazard pin held: snapshotScanView takes
+        // histMu_, which pruneLocked holds right after awaiting hazard
         // quiescence.
         const auto view = m.snapshotScanView(snapV_);
         build(view.router, view.cores);
@@ -800,6 +800,7 @@ class ShardedOakCoreMap {
 
   // -------------------------------------------------- publish / prune --
   Table* publishLocked(std::unique_ptr<Table> t) OAK_REQUIRES(mgmtMu_) {
+    MutexLock hk(histMu_);
     t->version = tables_.empty()
                      ? 1
                      : table_.load(std::memory_order_relaxed)->version + 1;
@@ -844,6 +845,7 @@ class ShardedOakCoreMap {
   void pruneLocked() OAK_REQUIRES(mgmtMu_) {
     Table* cur = table_.load(std::memory_order_relaxed);
     awaitQuiescentLocked(cur);
+    MutexLock hk(histMu_);
     for (const auto& up : tables_) {
       if (up.get() == cur) continue;
       for (const auto& c : up->cores) {
@@ -889,7 +891,7 @@ class ShardedOakCoreMap {
   /// True while a superseded table is retained for open snapshot pins.
   /// Snapshot scan opens check this (seq_cst) after hazard-pinning the
   /// published table; false means the published layout serves every pinned
-  /// version, so the open avoids mgmtMu_ and the view copies entirely.
+  /// version, so the open avoids histMu_ and the view copies entirely.
   bool historyRetained() const noexcept {
     return historyRetained_.load(std::memory_order_seq_cst);
   }
@@ -899,9 +901,12 @@ class ShardedOakCoreMap {
   /// invisible to pins older than the migration — those pins must keep
   /// routing through the pre-migration layout, whose cores retain the
   /// originals as sealed leftovers.  pruneLocked() retains superseded
-  /// tables exactly as long as a pin can resolve to them.
+  /// tables exactly as long as a pin can resolve to them.  Takes histMu_
+  /// only, never mgmtMu_: a split/merge holds mgmtMu_ across its copy and
+  /// its quiescence waits, and a snapshot open queued behind it would keep
+  /// its pin — and every table and core published since — alive meanwhile.
   ScanTableView snapshotScanView(std::uint64_t v) const {
-    MutexLock lk(mgmtMu_);
+    MutexLock hk(histMu_);
     const Table* best = nullptr;
     for (const auto& up : tables_) {  // publish order, born monotone
       if (up->born <= v) best = up.get();
@@ -1185,9 +1190,15 @@ class ShardedOakCoreMap {
   std::unique_ptr<SnapshotDomain> ownedSnapDomain_;
   SnapshotDomain* snapDomain_ = nullptr;
 
+  /// Serializes split/merge/manage and the whole-map walks over zombies_.
+  /// Acquired before histMu_.
   mutable Mutex mgmtMu_;
+  /// Guards only the table history: held by publish, prune and
+  /// snapshotScanView, never across a copy or a quiescence wait, so a
+  /// snapshot open never waits behind a split or merge.
+  mutable Mutex histMu_;
   std::vector<std::unique_ptr<Table>> tables_
-      OAK_GUARDED_BY(mgmtMu_);  // current + not-yet-pruned
+      OAK_GUARDED_BY(histMu_);  // current + not-yet-pruned
   std::vector<std::shared_ptr<Core>> zombies_
       OAK_GUARDED_BY(mgmtMu_);  // merged-away cores
   std::atomic<Table*> table_{nullptr};

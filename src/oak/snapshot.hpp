@@ -51,9 +51,6 @@ namespace oak {
 /// merged cross-shard scan reads one consistent version.
 class SnapshotDomain {
  public:
-  /// minPinned() when no snapshot is open: every version is reclaimable.
-  static constexpr std::uint64_t kNoPin = ~std::uint64_t{0};
-
   SnapshotDomain() = default;
   SnapshotDomain(const SnapshotDomain&) = delete;
   SnapshotDomain& operator=(const SnapshotDomain&) = delete;
@@ -100,12 +97,18 @@ class SnapshotDomain {
     pinnedNs_.fetch_add(heldNs, std::memory_order_relaxed);
   }
 
-  /// Oldest version any open snapshot can still read (kNoPin when none).
-  /// A superseded version chained at [dataVersion, supersededAt) is
-  /// reclaimable iff minPinned() >= supersededAt.
+  /// Oldest version any snapshot can still read: the lowest open pin, or
+  /// — when none is open — the clock, read under the pin-table mutex.  A
+  /// superseded version chained at [dataVersion, supersededAt) is
+  /// reclaimable iff minPinned() >= supersededAt.  The bound must also hold
+  /// for pins opened AFTER the caller sampled it (a GC pass acts on one
+  /// sample for a whole batch): any such open inserts its sentinel under
+  /// mu_ after this read, so its fetch_add returns V >= the clock read
+  /// here.  An "infinite" floor would let that pass reclaim the new pin's
+  /// versions.
   std::uint64_t minPinned() const {
     MutexLock lk(mu_);
-    return pins_.empty() ? kNoPin : pins_.begin()->first;
+    return pins_.empty() ? now() : pins_.begin()->first;
   }
 
   std::uint64_t openedCount() const noexcept {

@@ -43,7 +43,8 @@
 //     payload (or tombstone) became the value's state.  0 means "pending": a
 //     freshly inserted value whose stamp has not been chosen yet.  Readers
 //     HELP-stamp pending values (single 0 -> s CAS) so that a value a point
-//     read returns is always stamped before any later snapshot opens.
+//     read returns is always stamped before any later snapshot opens, and
+//     so that a snapshot's first read of it fixes its answer for good.
 //   * chainRef — a newest-first singly linked list of superseded versions
 //     (VersionNode), each a self-contained off-heap copy stamped with the
 //     version at which *it* became current.  A node whose successor's stamp
@@ -337,7 +338,7 @@ class ValueCell {
       writeLocked(bytes);
       return true;
     }
-    helpStamp(*sc);
+    helpStamp(*sc->domain);
     const std::uint64_t s = sc->domain->now();
     // Stamp loaded BEFORE the active check: if activeSnapshots() reads 0,
     // any open that could still need the superseded version has its clock
@@ -363,7 +364,7 @@ class ValueCell {
       writeLocked(bytes);
       return true;
     }
-    helpStamp(*sc);
+    helpStamp(*sc->domain);
     const std::uint64_t s = sc->domain->now();
     if (sc->domain->activeSnapshots() != 0) pushChainLocked(*sc);
     writeLocked(bytes);
@@ -382,7 +383,7 @@ class ValueCell {
       f(*this);
       return true;
     }
-    helpStamp(*sc);
+    helpStamp(*sc->domain);
     const std::uint64_t s = sc->domain->now();
     if (sc->domain->activeSnapshots() != 0) pushChainLocked(*sc);
     f(*this);
@@ -455,7 +456,7 @@ class ValueCell {
         const ByteSpan cur = payloadLocked();
         old->assign(cur.begin(), cur.end());
       }
-      helpStamp(sc);
+      helpStamp(*sc.domain);
       const std::uint64_t s = sc.domain->now();
       if (sc.domain->activeSnapshots() != 0) {
         pushChainLocked(sc);  // may throw: nothing mutated yet
@@ -499,11 +500,11 @@ class ValueCell {
   /// MUST call this before returning a value: it guarantees that any
   /// snapshot opened after the read completes observes the value too
   /// (stamp <= that snapshot's version), keeping get vs snapshot-scan
-  /// histories linearizable.
-  void helpStamp(const SnapCtx& sc) noexcept {
+  /// histories linearizable.  Snapshot reads (readAt) call it as well.
+  void helpStamp(const SnapshotDomain& dom) const noexcept {
     std::uint64_t ws = hdr_->writeVersion.load(std::memory_order_acquire);
     if (ws != 0) return;
-    const std::uint64_t s = sc.domain->now();
+    const std::uint64_t s = dom.now();
     hdr_->writeVersion.compare_exchange_strong(ws, s,
                                                std::memory_order_acq_rel);
   }
@@ -520,22 +521,31 @@ class ValueCell {
     if ((hdr_->flags.load(std::memory_order_acquire) & kTombstone) != 0) {
       return false;
     }
-    if (sc != nullptr) const_cast<ValueCell*>(this)->helpStamp(*sc);
+    if (sc != nullptr) helpStamp(*sc->domain);
     f(payloadLocked());
     return true;
   }
 
-  /// Snapshot read: runs `f` on the payload visible at version `v`, walking
-  /// the version chain when the current state is newer.  Returns false when
-  /// the key was absent at `v` (pending, tombstoned at or before v, born
-  /// after v, or deleted — a deleted header is never needed by a pinned
-  /// version, see DESIGN.md §11).
+  /// Snapshot read: runs `f` on the payload visible at version `v` of
+  /// `dom`, walking the version chain when the current state is newer.
+  /// Returns false when the key was absent at `v` (tombstoned at or before
+  /// v, born after v, or deleted — a deleted header is never needed by a
+  /// pinned version, see DESIGN.md §11).
+  ///
+  /// A PENDING value is help-stamped with dom.now() first, never judged
+  /// "absent" as it stands: the inserter's own helpStamp may have loaded
+  /// its stamp s <= v before the pin opened and still be about to CAS it
+  /// in, which would flip a later read at v to "present".  Our now() is
+  /// > v (the pin's fetch_add precedes this read), so whichever CAS wins
+  /// fixes the answer at v for good.  (v + 1 would not do: a reader at an
+  /// older pin would stamp a version a newer pin had already read as
+  /// absent.)
   template <class F>
-  bool readAt(std::uint64_t v, F&& f) const {
+  bool readAt(std::uint64_t v, const SnapshotDomain& dom, F&& f) const {
     sync::ReadGuard g(hdr_->lock);
     if (!g.acquired() || stale()) return false;
+    helpStamp(dom);
     const std::uint64_t ws = hdr_->writeVersion.load(std::memory_order_acquire);
-    if (ws == 0) return false;  // pending: stamps post-open, always > v
     const bool tomb =
         (hdr_->flags.load(std::memory_order_acquire) & kTombstone) != 0;
     if (ws <= v) {
@@ -559,9 +569,9 @@ class ValueCell {
     return false;  // inserted after v
   }
 
-  /// True iff the key had a live mapping at version `v`.
-  bool visibleAt(std::uint64_t v) const {
-    return readAt(v, [](ByteSpan) {});
+  /// True iff the key had a live mapping at version `v` of `dom`.
+  bool visibleAt(std::uint64_t v, const SnapshotDomain& dom) const {
+    return readAt(v, dom, [](ByteSpan) {});
   }
 
   /// Outcome of one version-GC pass over this cell.

@@ -440,11 +440,11 @@ ShardedRound recordRoundWithSplits(std::uint64_t seed) {
         auto e = it.entry();
         const std::uint64_t k = loadU64BE(e.key.data());
         std::uint64_t v = 0;
-        try {
-          e.value.read(
-              [&](ByteSpan s) { v = loadUnaligned<std::uint64_t>(s.data()); });
-        } catch (const ConcurrentModification&) {
-          continue;  // §4.2: entry vanished mid-read, skipping is legal
+        // A cell read reports a vanished entry by returning false (it
+        // never throws); §4.2: skipping it is legal.
+        if (!e.readValue(
+                [&](ByteSpan s) { v = loadUnaligned<std::uint64_t>(s.data()); })) {
+          continue;
         }
         obs.entries.emplace_back(k, v);
       }

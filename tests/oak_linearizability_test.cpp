@@ -159,10 +159,11 @@ class ScanRecorder {
     auto e = it.entry();
     const std::uint64_t k = loadU64BE(e.key.data());
     std::uint64_t v = 0;
-    try {
-      e.value.read([&](ByteSpan s) { v = loadUnaligned<std::uint64_t>(s.data()); });
-    } catch (const ConcurrentModification&) {
-      return;  // entry vanished mid-read; §4.2 allows skipping it
+    // A cell read reports a vanished entry by returning false (it never
+    // throws; only OakRBuffer does).  §4.2 allows skipping it.
+    if (!e.readValue(
+            [&](ByteSpan s) { v = loadUnaligned<std::uint64_t>(s.data()); })) {
+      return;
     }
     obs.entries.emplace_back(k, v);
   }

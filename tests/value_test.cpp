@@ -206,5 +206,53 @@ TEST_F(ValueTest, ReadersNeverSeeTornResize) {
   EXPECT_FALSE(torn.load());
 }
 
+// ---- MVCC races, replayed deterministically (DESIGN.md §11a/§11c) ----
+
+// A version-GC pass acts on one minPinned() sample for its whole batch.  A
+// pin opened after that sample must keep the chain node and the tombstone
+// that writers laid down for it.
+TEST_F(ValueTest, GcFloorSampledBeforeAnOpenKeepsTheNewPinsVersions) {
+  SnapshotDomain dom;
+  const SnapCtx sc{&dom};
+  ValueCell v = make("a");
+  v.helpStamp(dom);
+  const std::uint64_t floor = dom.minPinned();  // no pin open yet
+  Snapshot pin(dom);
+  ASSERT_TRUE(v.put(asBytes(std::string_view("b")), &sc));  // chains "a"
+  ASSERT_EQ(v.removeAt(sc), RemoveOutcome::Tombstoned);      // chains "b"
+
+  const ValueCell::GcOutcome kept = v.collect(floor, nullptr);
+  EXPECT_EQ(kept.retired, 0u);
+  EXPECT_FALSE(kept.clean);
+  std::string seen;
+  EXPECT_TRUE(v.readAt(pin.version(), dom,
+                       [&](ByteSpan s) { seen = std::string(asString(s)); }));
+  EXPECT_EQ(seen, "a");
+
+  // Once the pin closes, a fresh floor reclaims both nodes and the tombstone.
+  pin = Snapshot{};
+  const ValueCell::GcOutcome freed = v.collect(dom.minPinned(), nullptr);
+  EXPECT_EQ(freed.retired, 3u);
+  EXPECT_TRUE(freed.clean);
+  EXPECT_TRUE(v.isDeleted());
+}
+
+// An inserter's helpStamp may load its stamp s before a pin opens at v and
+// CAS it in only after a snapshot read at v.  The read settles the pending
+// stamp itself, so the late 0 -> s CAS fails and v keeps reading "absent".
+TEST_F(ValueTest, SnapshotReadSettlesAPendingStamp) {
+  SnapshotDomain dom;
+  ValueCell v = make("x");  // published pending: no stamp chosen yet
+  const std::uint64_t late = dom.now();  // the inserter's clock load
+  Snapshot pin(dom);
+  EXPECT_FALSE(v.visibleAt(pin.version(), dom));
+  std::uint64_t pending = 0;
+  // oaklint: allow(R6, replays the inserter's delayed 0 -> s stamp CAS)
+  EXPECT_FALSE(v.header()->writeVersion.compare_exchange_strong(pending, late));
+  EXPECT_FALSE(v.visibleAt(pin.version(), dom));
+  Snapshot later(dom);
+  EXPECT_TRUE(v.visibleAt(later.version(), dom));
+}
+
 }  // namespace
 }  // namespace oak::detail
