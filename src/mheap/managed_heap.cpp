@@ -42,22 +42,57 @@ std::size_t slotCountFor(std::size_t budget) {
   return n;
 }
 
+std::size_t tlabBytesFor(std::size_t budget) {
+  std::size_t n = budget / 2048;
+  if (n < (std::size_t{4} << 10)) n = std::size_t{4} << 10;
+  if (n > (std::size_t{64} << 10)) n = std::size_t{64} << 10;
+  return n;
+}
+
+constexpr std::uint64_t kLinkMask = 0xffffffffu;
+
+// Single-writer update of a thread's own counter: a plain load + store, no
+// locked RMW (the scheme of obs::StatsRegistry::bump).
+void bump(std::atomic<std::uint64_t>& c, std::uint64_t d) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 ManagedHeap::ManagedHeap(Config cfg)
     : cfg_(cfg),
+      effBudget_(static_cast<std::size_t>(static_cast<double>(cfg.budgetBytes) /
+                                          cfg.headroomFactor)),
+      tlabBytes_(tlabBytesFor(cfg.budgetBytes)),
       slots_(slotCountFor(cfg.budgetBytes)),
       nextFree_(slots_.size()),
-      freeHead_(0) {}
+      freeHead_(0),
+      tlabs_(new Tlab[kMaxThreads]) {
+  ThreadRegistry::addExitHook(&ManagedHeap::threadExitTrampoline, this);
+}
 
 ManagedHeap::~ManagedHeap() {
+  ThreadRegistry::removeExitHook(&ManagedHeap::threadExitTrampoline, this);
   // Release everything still registered (live or garbage).
   const std::uint32_t hw = slotHighWater_.load(std::memory_order_acquire);
-  for (std::uint32_t i = 0; i < hw; ++i) {
+  for (std::uint32_t i = 0; i < hw && i < slots_.size(); ++i) {
     if (slots_[i].state.load(std::memory_order_relaxed) != kFree) {
       std::free(slots_[i].ptr.load(std::memory_order_relaxed));
     }
   }
+}
+
+void ManagedHeap::threadExitTrampoline(void* ctx, std::uint32_t tid) {
+  auto* self = static_cast<ManagedHeap*>(ctx);
+  Tlab& t = self->tlabs_[tid];
+  // Clear the shard before returning its bytes: a racing stats() then
+  // over-reports committed bytes for a moment rather than under-reporting.
+  const std::size_t rem = t.reserved.load(std::memory_order_relaxed);
+  if (rem != 0) {
+    t.reserved.store(0, std::memory_order_relaxed);
+    self->committed_.fetch_sub(rem, std::memory_order_acq_rel);
+  }
+  while (t.nSlots != 0) self->releaseSlot(t.slots[--t.nSlots]);
 }
 
 void ManagedHeap::safepoint() const noexcept {
@@ -65,34 +100,44 @@ void ManagedHeap::safepoint() const noexcept {
   while (stw_.load(std::memory_order_acquire)) b.pause();
 }
 
-std::uint32_t ManagedHeap::grabSlot() {
-  // Pop from the recycled-slot Treiber stack.
-  std::uint64_t head = freeHead_.load(std::memory_order_acquire);
-  while ((head & 0xffffffffu) != 0) {
-    const std::uint32_t idx = static_cast<std::uint32_t>(head & 0xffffffffu) - 1;
-    const std::uint32_t next = nextFree_[idx].load(std::memory_order_relaxed);
-    const std::uint64_t newHead =
-        ((head >> 32) + 1) << 32 | static_cast<std::uint64_t>(next);
-    if (freeHead_.compare_exchange_weak(head, newHead, std::memory_order_acq_rel)) {
-      return idx;
+std::uint32_t ManagedHeap::takeSlot(Tlab& t) noexcept {
+  if (t.nSlots == 0) {
+    // Recycled slots first: pop up to kSlotCache with one CAS.  The ABA tag
+    // changes on every push and pop, so an unchanged head means the chain
+    // read below is intact.
+    std::uint64_t head = freeHead_.load(std::memory_order_acquire);
+    while ((head & kLinkMask) != 0) {
+      std::uint32_t n = 0;
+      auto link = static_cast<std::uint32_t>(head & kLinkMask);
+      while (link != 0 && n < kSlotCache) {
+        t.slots[n++] = link - 1;
+        link = nextFree_[link - 1].load(std::memory_order_relaxed);
+      }
+      const std::uint64_t newHead = ((head >> 32) + 1) << 32 | link;
+      if (freeHead_.compare_exchange_weak(head, newHead, std::memory_order_acq_rel)) {
+        t.nSlots = n;
+        break;
+      }
     }
   }
-  // Extend the high-water region.
-  const std::uint32_t idx = slotHighWater_.fetch_add(1, std::memory_order_acq_rel);
-  if (idx >= slots_.size()) {
-    slotHighWater_.fetch_sub(1, std::memory_order_relaxed);
-    return UINT32_MAX;
+  if (t.nSlots == 0 &&
+      slotHighWater_.load(std::memory_order_relaxed) < slots_.size()) {
+    // Virgin slots: a contiguous run, so threads do not share Slot lines.
+    const std::uint32_t first =
+        slotHighWater_.fetch_add(kSlotCache, std::memory_order_acq_rel);
+    const std::uint32_t size = static_cast<std::uint32_t>(slots_.size());
+    const std::uint32_t end = first + kSlotCache < size ? first + kSlotCache : size;
+    // Pushed in descending order so the run is handed out ascending.
+    for (std::uint32_t i = end; i > first; --i) t.slots[t.nSlots++] = i - 1;
   }
-  return idx;
+  return t.nSlots == 0 ? UINT32_MAX : t.slots[--t.nSlots];
 }
 
 bool ManagedHeap::tryReserve(std::size_t charge) {
-  const std::size_t effBudget = static_cast<std::size_t>(
-      static_cast<double>(cfg_.budgetBytes) / cfg_.headroomFactor);
   const std::size_t committed =
       committed_.fetch_add(charge, std::memory_order_acq_rel) + charge;
   bytesSinceGc_.fetch_add(charge, std::memory_order_relaxed);
-  if (committed <= static_cast<std::size_t>(static_cast<double>(effBudget) *
+  if (committed <= static_cast<std::size_t>(static_cast<double>(effBudget_) *
                                             cfg_.gcTriggerFraction)) {
     return true;
   }
@@ -102,22 +147,47 @@ bool ManagedHeap::tryReserve(std::size_t charge) {
                                ? (1u << 20)
                                : cfg_.budgetBytes / 64;
   if (bytesSinceGc_.load(std::memory_order_relaxed) >= pace ||
-      committed > effBudget) {
+      committed > effBudget_) {
     fullGc();
   }
-  if (committed_.load(std::memory_order_acquire) <= effBudget) return true;
+  if (committed_.load(std::memory_order_acquire) <= effBudget_) return true;
   // Last-ditch full collection before declaring OOM.
   gcLastDitch_.fetch_add(1, std::memory_order_relaxed);
   fullGc();
-  if (committed_.load(std::memory_order_acquire) <= effBudget) return true;
+  if (committed_.load(std::memory_order_acquire) <= effBudget_) return true;
   committed_.fetch_sub(charge, std::memory_order_acq_rel);
   return false;
+}
+
+void ManagedHeap::reserve(Tlab& t, std::size_t charge) {
+  if (charge > tlabBytes_ / 8) {
+    // Chunks and large values bypass the buffer.
+    if (!tryReserve(charge)) throwOom();
+    return;
+  }
+  const std::size_t rem = t.reserved.load(std::memory_order_relaxed);
+  if (rem >= charge) {
+    t.reserved.store(rem - charge, std::memory_order_relaxed);
+    return;
+  }
+  // Refill: top the buffer up to a whole one, unless that would cross the
+  // effective budget — then take just this charge, so the OOM edge stays
+  // where exact per-object reservations put it.
+  std::size_t want =
+      committed_.load(std::memory_order_relaxed) + tlabBytes_ <= effBudget_
+          ? tlabBytes_
+          : charge;
+  if (!tryReserve(want - rem)) {
+    if (want == charge || !tryReserve(charge - rem)) throwOom();
+    want = charge;
+  }
+  t.reserved.store(want - charge, std::memory_order_relaxed);
 }
 
 void ManagedHeap::releaseSlot(std::uint32_t idx) noexcept {
   std::uint64_t head = freeHead_.load(std::memory_order_acquire);
   for (;;) {
-    nextFree_[idx].store(static_cast<std::uint32_t>(head & 0xffffffffu),
+    nextFree_[idx].store(static_cast<std::uint32_t>(head & kLinkMask),
                          std::memory_order_relaxed);
     const std::uint64_t newHead =
         ((head >> 32) + 1) << 32 | static_cast<std::uint64_t>(idx + 1);
@@ -144,14 +214,15 @@ void* ManagedHeap::alloc(std::size_t bytes) {
   safepoint();
   if (OAK_FAULT_BRANCH("mheap.alloc")) throwOom();
   const std::size_t charge = chargeFor(bytes);
-  if (!tryReserve(charge)) throwOom();
-  std::uint32_t slot = grabSlot();
+  Tlab& t = tlabs_[ThreadRegistry::id()];
+  reserve(t, charge);
+  std::uint32_t slot = takeSlot(t);
   if (slot == UINT32_MAX) {
     // Sweeping garbage recycles slots — the slot-registry flavour of the
     // last-ditch collection.
     gcLastDitch_.fetch_add(1, std::memory_order_relaxed);
     fullGc();
-    slot = grabSlot();
+    slot = takeSlot(t);
     if (slot == UINT32_MAX) {
       committed_.fetch_sub(charge, std::memory_order_acq_rel);
       throwOom();
@@ -159,9 +230,9 @@ void* ManagedHeap::alloc(std::size_t bytes) {
   }
   void* raw = std::malloc(sizeof(ObjHeader) + bytes);
   if (raw == nullptr) {
-    // Unwind fully: the reservation and the grabbed slot both return, so a
+    // Unwind fully: the reservation and the slot both return, so a
     // host-malloc failure leaks neither budget nor registry slots.
-    releaseSlot(slot);
+    t.slots[t.nSlots++] = slot;
     committed_.fetch_sub(charge, std::memory_order_acq_rel);
     throwOom();
   }
@@ -172,8 +243,9 @@ void* ManagedHeap::alloc(std::size_t bytes) {
   s.ptr.store(raw, std::memory_order_relaxed);
   s.charged.store(static_cast<std::uint32_t>(charge), std::memory_order_relaxed);
   s.state.store(kLive, std::memory_order_release);
-  liveObjects_.fetch_add(1, std::memory_order_relaxed);
-  allocations_.fetch_add(1, std::memory_order_relaxed);
+  bump(t.allocations, 1);
+  bump(t.liveObjects, 1);
+  bump(t.liveBytes, charge);
   return h + 1;
 }
 
@@ -187,7 +259,7 @@ void ManagedHeap::free(void* p) noexcept {
   safepoint();
   // Claim the live->garbage transition atomically: a double-free (e.g. a
   // chunk disposed twice through racing retire paths) would otherwise
-  // double-count garbageBytes_ and corrupt liveObjects_.  Checked builds
+  // double-count garbage bytes and corrupt the live counts.  Checked builds
   // abort; release builds ignore the second free.
   const std::uint8_t prev =
       slots_[h->slot].state.exchange(kGarbage, std::memory_order_acq_rel);
@@ -197,8 +269,10 @@ void ManagedHeap::free(void* p) noexcept {
   if (prev != kLive) return;
   // The object becomes garbage; its bytes stay committed until the next
   // collection sweeps it — this is what creates the GC-headroom requirement.
-  garbageBytes_.fetch_add(h->charged, std::memory_order_relaxed);
-  liveObjects_.fetch_sub(1, std::memory_order_relaxed);
+  Tlab& t = tlabs_[ThreadRegistry::id()];
+  bump(t.garbageBytes, h->charged);
+  bump(t.liveBytes, -std::uint64_t{h->charged});
+  bump(t.liveObjects, -std::uint64_t{1});
 }
 
 void ManagedHeap::fullGc() {
@@ -206,24 +280,32 @@ void ManagedHeap::fullGc() {
   // A racing thread may have collected while we waited for the lock; if the
   // heap is comfortably under trigger again, skip.
   const std::size_t committed = committed_.load(std::memory_order_acquire);
-  if (committed < static_cast<std::size_t>(static_cast<double>(cfg_.budgetBytes) /
-                                           cfg_.headroomFactor *
+  if (committed < static_cast<std::size_t>(static_cast<double>(effBudget_) *
                                            cfg_.gcTriggerFraction * 0.9) &&
       bytesSinceGc_.load(std::memory_order_relaxed) <
           committed_.load(std::memory_order_relaxed) / 4) {
     return;
   }
   bytesSinceGc_.store(0, std::memory_order_relaxed);
+  sweepLocked(/*mark=*/true);
+}
+
+void ManagedHeap::collectNow() {
+  MutexLock lk(gcMu_);
+  sweepLocked(/*mark=*/false);
+}
+
+void ManagedHeap::sweepLocked(bool mark) {
   const std::uint64_t t0 = nowNanos();
   stw_.store(true, std::memory_order_seq_cst);
-
-  const std::uint32_t hw = slotHighWater_.load(std::memory_order_acquire);
+  std::uint32_t hw = slotHighWater_.load(std::memory_order_acquire);
+  if (hw > slots_.size()) hw = static_cast<std::uint32_t>(slots_.size());
   std::uint64_t sink = 0;
   std::size_t reclaimed = 0;
   for (std::uint32_t i = 0; i < hw; ++i) {
     Slot& s = slots_[i];
     const std::uint8_t st = s.state.load(std::memory_order_acquire);
-    if (st == kLive) {
+    if (st == kLive && mark) {
       // Mark: trace through the object — touch its header and its middle
       // cache line (real memory traffic proportional to the live set).
       const auto* raw = static_cast<const unsigned char*>(
@@ -235,59 +317,18 @@ void ManagedHeap::fullGc() {
       }
     } else if (st == kGarbage) {
       // Sweep: reclaim the object and recycle its slot.
-      void* raw = s.ptr.load(std::memory_order_relaxed);
-      const std::uint32_t charged = s.charged.load(std::memory_order_relaxed);
-      std::free(raw);
+      std::free(s.ptr.load(std::memory_order_relaxed));
+      reclaimed += s.charged.load(std::memory_order_relaxed);
       s.ptr.store(nullptr, std::memory_order_relaxed);
       s.state.store(kFree, std::memory_order_release);
-      reclaimed += charged;
-      // Push the slot onto the free stack.
-      std::uint64_t head = freeHead_.load(std::memory_order_acquire);
-      for (;;) {
-        nextFree_[i].store(static_cast<std::uint32_t>(head & 0xffffffffu),
-                           std::memory_order_relaxed);
-        const std::uint64_t newHead =
-            ((head >> 32) + 1) << 32 | static_cast<std::uint64_t>(i + 1);
-        if (freeHead_.compare_exchange_weak(head, newHead,
-                                            std::memory_order_acq_rel)) {
-          break;
-        }
-      }
+      releaseSlot(i);
     }
   }
   gMarkSink = sink;
   committed_.fetch_sub(reclaimed, std::memory_order_acq_rel);
-  garbageBytes_.fetch_sub(reclaimed, std::memory_order_relaxed);
+  swept_.store(swept_.load(std::memory_order_relaxed) + reclaimed,
+               std::memory_order_relaxed);
 
-  stw_.store(false, std::memory_order_seq_cst);
-  fullGcCycles_.fetch_add(1, std::memory_order_relaxed);
-  gcNanos_.fetch_add(nowNanos() - t0, std::memory_order_relaxed);
-}
-
-void ManagedHeap::collectNow() {
-  MutexLock lk(gcMu_);
-  const std::uint64_t t0 = nowNanos();
-  stw_.store(true, std::memory_order_seq_cst);
-  const std::uint32_t hw = slotHighWater_.load(std::memory_order_acquire);
-  std::size_t reclaimed = 0;
-  for (std::uint32_t i = 0; i < hw; ++i) {
-    Slot& s = slots_[i];
-    if (s.state.load(std::memory_order_acquire) != kGarbage) continue;
-    std::free(s.ptr.load(std::memory_order_relaxed));
-    reclaimed += s.charged.load(std::memory_order_relaxed);
-    s.ptr.store(nullptr, std::memory_order_relaxed);
-    s.state.store(kFree, std::memory_order_release);
-    std::uint64_t head = freeHead_.load(std::memory_order_acquire);
-    for (;;) {
-      nextFree_[i].store(static_cast<std::uint32_t>(head & 0xffffffffu),
-                         std::memory_order_relaxed);
-      const std::uint64_t newHead =
-          ((head >> 32) + 1) << 32 | static_cast<std::uint64_t>(i + 1);
-      if (freeHead_.compare_exchange_weak(head, newHead, std::memory_order_acq_rel)) break;
-    }
-  }
-  committed_.fetch_sub(reclaimed, std::memory_order_acq_rel);
-  garbageBytes_.fetch_sub(reclaimed, std::memory_order_relaxed);
   stw_.store(false, std::memory_order_seq_cst);
   fullGcCycles_.fetch_add(1, std::memory_order_relaxed);
   gcNanos_.fetch_add(nowNanos() - t0, std::memory_order_relaxed);
@@ -330,13 +371,27 @@ GcStats ManagedHeap::stats() const {
   out.fullGcCycles = fullGcCycles_.load(std::memory_order_relaxed);
   out.youngGcCycles = youngGcCycles_.load(std::memory_order_relaxed);
   out.gcNanos = gcNanos_.load(std::memory_order_relaxed);
-  out.allocations = allocations_.load(std::memory_order_relaxed);
   out.oomThrows = oomThrows_.load(std::memory_order_relaxed);
   out.gcLastDitch = gcLastDitch_.load(std::memory_order_relaxed);
-  out.committedBytes = committed_.load(std::memory_order_relaxed);
-  const std::size_t garbage = garbageBytes_.load(std::memory_order_relaxed);
-  out.liveBytes = out.committedBytes > garbage ? out.committedBytes - garbage : 0;
-  out.liveObjects = liveObjects_.load(std::memory_order_relaxed);
+  // The shards hold deltas, so sums are taken mod 2^64; a sum read while
+  // threads race may be transiently negative, which clamps to zero.
+  std::uint64_t unused = 0, liveObjects = 0, liveBytes = 0, garbage = 0;
+  for (std::uint32_t i = 0; i < kMaxThreads; ++i) {
+    const Tlab& t = tlabs_[i];
+    unused += t.reserved.load(std::memory_order_relaxed);
+    out.allocations += t.allocations.load(std::memory_order_relaxed);
+    liveObjects += t.liveObjects.load(std::memory_order_relaxed);
+    liveBytes += t.liveBytes.load(std::memory_order_relaxed);
+    garbage += t.garbageBytes.load(std::memory_order_relaxed);
+  }
+  garbage -= swept_.load(std::memory_order_relaxed);
+  const auto clamp = [](std::uint64_t v) -> std::size_t {
+    return static_cast<std::int64_t>(v) < 0 ? 0 : static_cast<std::size_t>(v);
+  };
+  out.committedBytes = clamp(committed_.load(std::memory_order_relaxed) - unused);
+  out.liveBytes = clamp(liveBytes);
+  out.garbageBytes = clamp(garbage);
+  out.liveObjects = clamp(liveObjects);
   return out;
 }
 

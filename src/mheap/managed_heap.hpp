@@ -36,18 +36,42 @@
 // collector — but every cost is incurred as real CPU work and real
 // allocation-failure behaviour, so benchmarks measure it rather than assume
 // it.  See DESIGN.md §1.
+//
+// Per-thread allocation buffers (TLABs).  As a JVM serves young objects
+// from a thread-local buffer, the fast path of alloc/free writes only the
+// calling thread's own cache line.  A heap keeps one cache-line-aligned Tlab
+// per ThreadRegistry id (the scheme of mem/magazine.hpp and
+// obs::StatsRegistry).  Per thread: the unused part of its byte
+// reservation, a cache of up to kSlotCache slot indices, and its shares of
+// the allocations / liveObjects / liveBytes / garbageBytes counters, which
+// only the owning thread writes (relaxed load + store, no RMW).  A charge
+// of at most tlabBytes/8 comes out of the reservation; a refill reserves
+// one buffer (budget/2048, clamped to 4-64 KiB) with a single tryReserve,
+// so committed_ and bytesSinceGc_ move once per buffer rather than once
+// per object.  Near the effective budget a refill reserves just the charge,
+// and larger charges bypass the buffer, so the OOM edge stays exact up to
+// the other threads' unused reservations.  Slots come in runs: one
+// fetch_add on the high-water mark or one CAS popping up to kSlotCache
+// recycled slots.  stats() sums the shards; its committedBytes excludes
+// every buffer's unused bytes, so live + garbage == committed as before.
+// The GC model is unchanged: each object is still charged the same size,
+// host-malloc'd, registered in a slot, turned into garbage by free() and
+// reclaimed only by a sweep; trigger, pacing and the last-ditch/OOM paths
+// still act on committed_.  An exiting thread's ThreadRegistry hook returns
+// its unused reservation and cached slots, so nothing is stranded.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
 
-#include "common/mutex.hpp"
-
 #include "common/error.hpp"
+#include "common/mutex.hpp"
+#include "common/thread_registry.hpp"
 
 namespace oak::mheap {
 
@@ -60,6 +84,7 @@ struct GcStats {
   std::uint64_t gcLastDitch = 0;     ///< emergency full GCs on the OOM edge
   std::size_t liveBytes = 0;         ///< live (reachable) charged bytes
   std::size_t committedBytes = 0;    ///< live + not-yet-collected garbage
+  std::size_t garbageBytes = 0;      ///< freed, not yet swept
   std::size_t liveObjects = 0;
 };
 
@@ -146,21 +171,51 @@ class ManagedHeap {
     std::atomic<std::uint8_t> state{0};
   };
 
+  /// Slot indices a thread caches between refills.
+  static constexpr std::uint32_t kSlotCache = 64;
+
+  /// One thread's allocation buffer.  Every field is written only by the
+  /// thread owning this ThreadRegistry id (its exit hook included); the
+  /// atomics exist so stats() may read them concurrently.  The per-thread
+  /// counters are deltas: a thread freeing another thread's objects drives
+  /// its own liveObjects/liveBytes below zero, and stats() sums them mod
+  /// 2^64.
+  struct alignas(64) Tlab {
+    std::atomic<std::size_t> reserved{0};  ///< budget reserved, not yet charged
+    std::atomic<std::uint64_t> allocations{0};
+    std::atomic<std::uint64_t> liveObjects{0};
+    std::atomic<std::uint64_t> liveBytes{0};
+    std::atomic<std::uint64_t> garbageBytes{0};
+    std::uint32_t nSlots = 0;
+    std::uint32_t slots[kSlotCache];
+  };
+
   std::size_t chargeFor(std::size_t bytes) const noexcept {
     return ((bytes + cfg_.headerBytes + 7) & ~std::size_t{7});
   }
 
   void safepoint() const noexcept;
   void fullGc();
+  /// The one sweep: frees every garbage slot and, when `mark`, traces every
+  /// live one.  Shared by the triggered collection and collectNow().
+  void sweepLocked(bool mark) OAK_REQUIRES(gcMu_);
   bool tryReserve(std::size_t charge);
-  std::uint32_t grabSlot();
-  /// Returns a grabbed-but-unused slot to the free stack (failure unwind).
+  /// Takes `charge` bytes of budget for `t`'s thread; throws on OOM.
+  void reserve(Tlab& t, std::size_t charge);
+  /// Pops a slot from `t`'s cache, refilling it first; UINT32_MAX when the
+  /// registry is exhausted.
+  std::uint32_t takeSlot(Tlab& t) noexcept;
+  /// The single push onto the recycled-slot stack.
   void releaseSlot(std::uint32_t idx) noexcept;
+  /// Thread exit: returns the thread's unused reservation and cached slots.
+  static void threadExitTrampoline(void* ctx, std::uint32_t tid);
   /// The single funnel for allocation failure: every OOM exit increments
   /// oomThrows_ exactly once and raises the typed exception.
   [[noreturn]] void throwOom();
 
   Config cfg_;
+  const std::size_t effBudget_;  ///< budget / headroomFactor
+  const std::size_t tlabBytes_;  ///< one buffer refill
 
   std::vector<Slot> slots_;
   std::atomic<std::uint32_t> slotHighWater_{0};
@@ -168,9 +223,12 @@ class ManagedHeap {
   std::vector<std::atomic<std::uint32_t>> nextFree_;
   std::atomic<std::uint64_t> freeHead_;  // [aba:32|index+1:32]
 
+  std::unique_ptr<Tlab[]> tlabs_;
+
+  /// Charged bytes plus every buffer's unused reservation, minus swept.
   std::atomic<std::size_t> committed_{0};
-  std::atomic<std::size_t> garbageBytes_{0};
-  std::atomic<std::size_t> liveObjects_{0};
+  /// Garbage bytes reclaimed by all sweeps; written only under gcMu_.
+  std::atomic<std::size_t> swept_{0};
 
   std::atomic<std::size_t> ephemeralBytes_{0};
   std::atomic<std::size_t> bytesSinceGc_{0};
@@ -183,7 +241,6 @@ class ManagedHeap {
   std::atomic<std::uint64_t> fullGcCycles_{0};
   std::atomic<std::uint64_t> youngGcCycles_{0};
   std::atomic<std::uint64_t> gcNanos_{0};
-  std::atomic<std::uint64_t> allocations_{0};
   std::atomic<std::uint64_t> oomThrows_{0};
   std::atomic<std::uint64_t> gcLastDitch_{0};
 };

@@ -1496,8 +1496,7 @@ class OakCoreMap {
   }
 
   bool managedGarbagePending() const {
-    const mheap::GcStats gs = metaHeap_.stats();
-    return gs.committedBytes > gs.liveBytes;
+    return metaHeap_.stats().garbageBytes != 0;
   }
 
   detail::HeaderPool* headerPool() noexcept {

@@ -2,11 +2,13 @@
 // semantics, OOM behaviour, headroom, safepoints, ephemeral modelling.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_registry.hpp"
 #include "mheap/managed_heap.hpp"
 
 namespace oak::mheap {
@@ -168,6 +170,102 @@ TEST(ManagedHeap, ConcurrentAllocFreeStress) {
   }
   for (auto& t : ts) t.join();
   EXPECT_FALSE(failed.load());  // working set fits comfortably
+}
+
+// Per-thread allocation buffers: the shards must add up to exact totals,
+// with every buffer's unused reservation kept out of committedBytes.
+TEST(ManagedHeap, ThreadBuffersSumToExactTotals) {
+  ManagedHeap h(cfg(64u << 20));
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20000;
+  const GcStats before = h.stats();
+  std::atomic<int> done{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) h.ephemeralObject(48);
+      done.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (done.load() < kThreads) std::this_thread::yield();
+  // Every worker still holds a partly used buffer here.
+  const GcStats held = h.stats();
+  EXPECT_EQ(held.allocations, before.allocations + kThreads * kPerThread);
+  EXPECT_EQ(held.liveObjects, before.liveObjects);
+  EXPECT_EQ(held.liveBytes, before.liveBytes);
+  EXPECT_EQ(held.committedBytes, held.liveBytes + held.garbageBytes);
+  release.store(true);
+  for (auto& t : ts) t.join();
+  const GcStats after = h.stats();
+  EXPECT_EQ(after.allocations, before.allocations + kThreads * kPerThread);
+  EXPECT_EQ(after.liveObjects, before.liveObjects);
+  EXPECT_EQ(after.committedBytes, after.liveBytes + after.garbageBytes);
+}
+
+// A thread's exit hands its unused reservation and cached slots back: the
+// heap's committed bytes and its whole slot registry are available again.
+TEST(ManagedHeap, ExitingThreadStrandsNoBuffer) {
+  // 8-byte objects exhaust the slot registry long before the byte budget,
+  // so the fill count below is the number of slots the heap can hand out.
+  auto fillCount = [](ManagedHeap& h) {
+    std::size_t n = 0;
+    try {
+      for (;;) {
+        (void)h.alloc(8);
+        ++n;
+      }
+    } catch (const ManagedOutOfMemory&) {
+    }
+    return n;
+  };
+  // Register this thread first, so the worker gets an id of its own and
+  // this thread cannot inherit the worker's shard when it exits.
+  (void)ThreadRegistry::id();
+  ManagedHeap control(cfg(8u << 20));
+  ManagedHeap h(cfg(8u << 20));
+  h.collectNow();
+  const auto committedBefore = h.stats().committedBytes;
+  std::thread([&] { h.free(h.alloc(48)); }).join();
+  h.collectNow();
+  EXPECT_EQ(h.stats().committedBytes, committedBefore);
+  EXPECT_EQ(fillCount(h), fillCount(control));
+}
+
+// The buffers other threads hold stay a small part of the effective budget:
+// the OOM point of OomWhenLiveSetExceedsEffectiveBudget keeps its bounds.
+TEST(ManagedHeap, OomEdgeHoldsWhileThreadsHoldBuffers) {
+  ManagedHeap::Config c = cfg(8u << 20);
+  ManagedHeap h(c);
+  constexpr int kThreads = 4;
+  std::atomic<int> holding{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&] {
+      void* p = h.alloc(48);
+      holding.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      h.free(p);
+    });
+  }
+  while (holding.load() < kThreads) std::this_thread::yield();
+  std::vector<void*> objs;
+  bool oom = false;
+  try {
+    for (int i = 0; i < 10000; ++i) objs.push_back(h.alloc(4096));
+  } catch (const ManagedOutOfMemory&) {
+    oom = true;
+  }
+  release.store(true);
+  for (auto& t : ts) t.join();
+  EXPECT_TRUE(oom);
+  const auto expected = static_cast<std::size_t>(
+      static_cast<double>(c.budgetBytes) / c.headroomFactor / (4096 + 16));
+  EXPECT_GT(objs.size(), expected * 9 / 10);
+  EXPECT_LT(objs.size(), expected * 11 / 10 + 16);
+  for (void* p : objs) h.free(p);
 }
 
 TEST(ManagedBytes, RoundTrip) {

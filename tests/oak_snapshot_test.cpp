@@ -298,12 +298,17 @@ void runConcurrentFuzz(std::size_t shards, std::uint64_t seed, int scansPerThrea
     map.put(asBytes(keyOf(k)), asBytes(valOf(k, 0)));
   }
 
+  const unsigned mutators = 3;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> commits{0};
+  // Start gate: scanners begin once every mutator has committed an op, so
+  // they cannot finish all their rounds before any churn has started.
+  std::atomic<unsigned> mutatorsStarted{0};
 
   auto mutator = [&](std::uint64_t tseed) {
     XorShift rng(tseed);
     std::uint64_t seq = 0;
+    bool started = false;
     while (!stop.load(std::memory_order_acquire)) {
       const std::uint64_t k = kBedrock + rng.nextBounded(kKeySpace - kBedrock);
       switch (rng.nextBounded(4)) {
@@ -323,11 +328,18 @@ void runConcurrentFuzz(std::size_t shards, std::uint64_t seed, int scansPerThrea
           break;
       }
       commits.fetch_add(1, std::memory_order_relaxed);
+      if (!started) {
+        started = true;
+        mutatorsStarted.fetch_add(1, std::memory_order_release);
+      }
     }
   };
 
   auto scanner = [&](std::uint64_t tseed) {
     XorShift rng(tseed);
+    while (mutatorsStarted.load(std::memory_order_acquire) < mutators) {
+      std::this_thread::yield();
+    }
     for (int round = 0; round < scansPerThread; ++round) {
       Snapshot snap = map.openSnapshot();
       const auto dir = rng.nextBounded(2) == 0 ? ScanOptions::Direction::Ascending
@@ -352,7 +364,6 @@ void runConcurrentFuzz(std::size_t shards, std::uint64_t seed, int scansPerThrea
     }
   };
 
-  const unsigned mutators = 3;
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < mutators; ++t) {
     threads.emplace_back(mutator, seed * 31 + t);
